@@ -12,8 +12,8 @@ from .kronecker import pair_weight
 from .partitions import partitions_of
 from .series import Series
 
-# Default cap on the degree; raising it past the character-table safety limit
-# requires overriding both.
+# Default cap on the degree, so that a long run is asked for explicitly.  The
+# census builds no character table, so the table-size limit does not bound it.
 DEFAULT_DEGREE_LIMIT = 12
 
 

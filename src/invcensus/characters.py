@@ -2,15 +2,10 @@
 
 The recursion removes strips of the largest remaining cycle length first and
 is memoized on (shape, remaining cycle type), so a full table for one n shares
-almost all of its work.  Tables may be persisted to disk; a loaded table is
-spot-checked by recomputing one row before it is trusted.
+almost all of its work.
 """
 
-import json
-import os
-import random
 from functools import lru_cache
-from pathlib import Path
 
 from .errors import ResourceLimitError, WeightMismatchError
 from .partitions import Partition, as_partition, partitions_of
@@ -18,8 +13,6 @@ from .partitions import Partition, as_partition, partitions_of
 # Hard safety cap: tables grow like p(n)^2 and the recursion behind them much
 # faster; anything past this needs an explicit override.
 DEFAULT_MAX_TABLE_N = 16
-
-CACHE_FORMAT_VERSION = 1
 
 _tables: dict[int, "CharTable"] = {}
 
@@ -111,75 +104,17 @@ def _compute_table(n: int) -> CharTable:
     return CharTable(n, parts, values)
 
 
-def _cache_path(cache_dir, n: int) -> Path:
-    return Path(cache_dir) / f"sym-characters-n{n}.v{CACHE_FORMAT_VERSION}.json"
-
-
-def _load_table(path: Path, n: int) -> CharTable | None:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(doc, dict) or doc.get("format_version") != CACHE_FORMAT_VERSION:
-        return None
-    if doc.get("n") != n:
-        return None
-    parts = partitions_of(n)
-    try:
-        stored_parts = tuple(tuple(p) for p in doc["partitions"])
-        values = [list(row) for row in doc["values"]]
-    except (KeyError, TypeError):
-        return None
-    if stored_parts != parts or len(values) != len(parts):
-        return None
-    if any(len(row) != len(parts) or not all(isinstance(v, int) for v in row) for row in values):
-        return None
-    # Spot check: recompute one row and compare before trusting the file.
-    probe = random.randrange(len(parts))
-    expected = [_character(parts[probe], mu) for mu in parts]
-    if values[probe] != expected:
-        return None
-    return CharTable(n, parts, values)
-
-
-def _store_table(path: Path, table: CharTable) -> None:
-    doc = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "n": table.n,
-        "partitions": [list(p) for p in table.partitions],
-        "values": [list(row) for row in table.values],
-    }
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-        os.replace(tmp, path)
-    except OSError:
-        pass  # cache is best-effort; computation already succeeded
-
-
-def char_table(n: int, cache_dir=None, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
-    """Full character table of S_n, memoized in memory and optionally on disk."""
+def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
+    """Full character table of S_n, memoized in memory."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_n:
         raise ResourceLimitError(
             f"character table too large: n={n} exceeds the limit {max_n}"
         )
-    cached = _tables.get(n)
-    if cached is not None:
-        return cached
-    if cache_dir is not None:
-        table = _load_table(_cache_path(cache_dir, n), n)
-        if table is not None:
-            _tables[n] = table
-            return table
-    table = _compute_table(n)
-    _tables[n] = table
-    if cache_dir is not None:
-        _store_table(_cache_path(cache_dir, n), table)
+    table = _tables.get(n)
+    if table is None:
+        table = _tables[n] = _compute_table(n)
     return table
 
 

@@ -9,13 +9,12 @@ printed.
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from . import __version__
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
-from .characters import CACHE_FORMAT_VERSION, char_table, character
+from .characters import char_table, character
 from .errors import ConsistencyError, InvcensusError
 from .factorizer import search_candidates
 from .kronecker import inner_product_expansion
@@ -53,17 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
-    )
-    common.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for persistent caches (default: INVCENSUS_CACHE, else in-memory only)",
-    )
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=1,
-        help="cap on internal parallelism",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,34 +123,15 @@ def _format_multiset(degrees) -> str:
     return "{" + ",".join(str(d) for d in degrees) + "}"
 
 
-def _cmd_census(args, cache_dir):
+def _cmd_census(args):
     problem = CensusProblem(args.n1, args.n2)
     series = generating_series(problem, args.max_degree, args.degree_limit)
-    echo = {
-        "n1": args.n1,
-        "n2": args.n2,
-        "max_degree": args.max_degree,
-        "degree_limit": args.degree_limit,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
-    return echo, series_to_json(series), _format_polynomial(series)
+    return series_to_json(series), _format_polynomial(series)
 
 
-def _cmd_molien(args, cache_dir):
+def _cmd_molien(args):
     problem = CensusProblem(args.n1, args.n2)
     series = molien_series(problem, args.max_degree, args.degree_limit)
-    echo = {
-        "n1": args.n1,
-        "n2": args.n2,
-        "max_degree": args.max_degree,
-        "degree_limit": args.degree_limit,
-        "check": args.check,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
     result = series_to_json(series)
     text = _format_polynomial(series)
     if args.check:
@@ -176,20 +145,13 @@ def _cmd_molien(args, cache_dir):
                     )
         result["census_agreement"] = "OK"
         text += "\ncensus agreement: OK"
-    return echo, result, text
+    return result, text
 
 
-def _cmd_kron(args, cache_dir):
+def _cmd_kron(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     expansion = inner_product_expansion(lam, mu)
-    echo = {
-        "lambda": args.lam,
-        "mu": args.mu,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
     result = {
         "weight": expansion.weight,
         "terms": [
@@ -199,7 +161,7 @@ def _cmd_kron(args, cache_dir):
     text = "\n".join(
         f"{{{format_partition(nu)}}}: {mult}" for nu, mult in expansion
     )
-    return echo, result, text
+    return result, text
 
 
 def _describe_candidate(rank, report, target_degree):
@@ -226,7 +188,7 @@ def _describe_candidate(rank, report, target_degree):
     return lines
 
 
-def _cmd_factor(args, cache_dir):
+def _cmd_factor(args):
     target = read_series_file(args.series_file)
     reports = search_candidates(
         target,
@@ -235,16 +197,6 @@ def _cmd_factor(args, cache_dir):
         max_total_factors=args.max_total_factors,
     )
     shown = reports[: args.limit]
-    echo = {
-        "series_file": args.series_file,
-        "free_generators": args.free_generators,
-        "max_factor_degree": args.max_factor_degree,
-        "max_total_factors": args.max_total_factors,
-        "limit": args.limit,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
     result = {
         "candidate_count": len(reports),
         "candidates": [
@@ -270,31 +222,18 @@ def _cmd_factor(args, cache_dir):
         text = "\n".join(lines)
     else:
         text = "no candidates found"
-    return echo, result, text
+    return result, text
 
 
-def _cmd_char(args, cache_dir):
+def _cmd_char(args):
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     value = character(lam, mu)
-    echo = {
-        "lambda": args.lam,
-        "mu": args.mu,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
-    return echo, {"value": value}, str(value)
+    return {"value": value}, str(value)
 
 
-def _cmd_table(args, cache_dir):
-    table = char_table(args.n, cache_dir=cache_dir)
-    echo = {
-        "n": args.n,
-        "format": args.format,
-        "threads": args.threads,
-        "cache_dir": cache_dir,
-    }
+def _cmd_table(args):
+    table = char_table(args.n)
     result = {
         "n": table.n,
         "partitions": [list(p) for p in table.partitions],
@@ -309,7 +248,7 @@ def _cmd_table(args, cache_dir):
         "  ".join(cell.rjust(width) for cell, width in zip(row, widths)).rstrip()
         for row in cells
     )
-    return echo, result, text
+    return result, text
 
 
 _DISPATCH = {
@@ -321,14 +260,27 @@ _DISPATCH = {
     "table": _cmd_table,
 }
 
+# Envelope names of arguments whose attribute name differs.
+_ECHO_KEYS = {"lam": "lambda"}
+
+
+def _echo(args) -> dict:
+    """The envelope's `input`: each parsed argument, `format` last."""
+    echo = {
+        _ECHO_KEYS.get(name, name): value
+        for name, value in vars(args).items()
+        if name not in ("command", "format")
+    }
+    echo["format"] = args.format
+    return echo
+
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    cache_dir = args.cache_dir or os.environ.get("INVCENSUS_CACHE") or None
     start = time.perf_counter()
     try:
-        echo, result, text = _DISPATCH[args.command](args, cache_dir)
+        result, text = _DISPATCH[args.command](args)
     except (InvcensusError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -336,12 +288,9 @@ def main(argv=None) -> int:
     if args.format == "json":
         envelope = {
             "command": args.command,
-            "input": echo,
+            "input": _echo(args),
             "result": result,
-            "versions": {
-                "tool": __version__,
-                "cache_format": CACHE_FORMAT_VERSION,
-            },
+            "versions": {"tool": __version__},
             "timing_ms": elapsed_ms,
         }
         print(json.dumps(envelope, indent=2))

@@ -1,13 +1,13 @@
 """Kronecker (inner) products of symmetric-group irreducibles.
 
 Multiplicities come from the class-sum form of character orthogonality,
-accumulated over exact rationals so that a wrong character value surfaces as
-a loud non-integrality failure instead of a silently wrong count.
+accumulated exactly over integer class sizes so that a wrong character value
+surfaces as a loud non-integrality failure instead of a silently wrong count.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .characters import _character
 from .errors import ConsistencyError, WeightMismatchError
@@ -42,16 +42,18 @@ def _check_weights(*parts: Partition) -> int:
 @lru_cache(maxsize=None)
 def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
-    total = Fraction(0)
+    order = factorial(n)
+    total = 0
     for rho in partitions_of(n):
         prod = _character(lam, rho) * _character(mu, rho) * _character(nu, rho)
         if prod:
-            total += Fraction(prod, z_order(rho))
-    if total.denominator != 1 or total < 0:
+            total += prod * (order // z_order(rho))
+    quotient, remainder = divmod(total, order)
+    if remainder or quotient < 0:
         raise ConsistencyError(
-            f"class sum for g{lam, mu, nu} is {total}, not a nonnegative integer"
+            f"class sum for g{lam, mu, nu} is {total}/{order}, not a nonnegative integer"
         )
-    return int(total)
+    return quotient
 
 
 def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:

@@ -77,12 +77,6 @@ class LaurentPoly:
         result.terms = out
         return result
 
-    def scale(self, value: int) -> "LaurentPoly":
-        result = LaurentPoly(self.nvars)
-        if value:
-            result.terms = {e: c * value for e, c in self.terms.items()}
-        return result
-
     def constant_term(self) -> int:
         return self.terms.get((0,) * self.nvars, 0)
 

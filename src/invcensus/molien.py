@@ -69,7 +69,9 @@ def complete_homogeneous(problem: CensusProblem, n: int) -> LaurentPoly:
             )
         result.terms[exponents] = quotient
     # Exponent support of h_n is bounded; a violation means corrupt arithmetic.
-    assert result.max_abs_exponent() <= n * max(problem.n1, problem.n2)
+    bound = n * max(problem.n1, problem.n2)
+    if result.max_abs_exponent() > bound:
+        raise ConsistencyError(f"h_{n} has an exponent past the bound {bound}")
     return result
 
 

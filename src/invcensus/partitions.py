@@ -9,7 +9,7 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .errors import PartitionParseError
+from .errors import ConsistencyError, PartitionParseError
 
 Partition = tuple[int, ...]
 
@@ -18,7 +18,7 @@ def as_partition(parts) -> Partition:
     """Validate an iterable of parts and return it as a canonical tuple."""
     p = tuple(parts)
     for i, part in enumerate(p):
-        if not isinstance(part, int) or part < 1:
+        if type(part) is not int or part < 1:
             raise PartitionParseError(f"parts must be positive integers, got {part!r}")
         if i > 0 and part > p[i - 1]:
             raise PartitionParseError(
@@ -93,7 +93,7 @@ def dimension(p: Partition) -> int:
             hooks *= (row - j) + (conj[j] - i) - 1
     dim, rem = divmod(factorial(sum(p)), hooks)
     if rem:
-        raise AssertionError(f"hook product does not divide n! for {p}")
+        raise ConsistencyError(f"hook product does not divide n! for {p}")
     return dim
 
 

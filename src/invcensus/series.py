@@ -17,7 +17,7 @@ class Series:
         if not coeffs:
             raise ValueError("a series needs at least the degree-0 coefficient")
         for c in coeffs:
-            if not isinstance(c, int):
+            if type(c) is not int:  # rejects bool and float alike
                 raise ValueError(f"coefficients must be exact integers, got {c!r}")
         self.coeffs = coeffs
 

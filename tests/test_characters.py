@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from invcensus.characters import CharTable, char_table, character, clear_caches
+from invcensus.characters import CharTable, char_table, character
 from invcensus.errors import ResourceLimitError, WeightMismatchError
 from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
@@ -155,43 +155,3 @@ def test_resource_limit():
         char_table(17)
     with pytest.raises(ResourceLimitError, match="too large"):
         char_table(5, max_n=4)
-
-
-# ---------------------------------------------------------------------------
-# Disk cache behaviour.
-
-
-def test_disk_cache_round_trip(tmp_path):
-    clear_caches()
-    first = char_table(6, cache_dir=tmp_path)
-    files = list(tmp_path.glob("sym-characters-n6*.json"))
-    assert len(files) == 1
-    clear_caches()
-    second = char_table(6, cache_dir=tmp_path)
-    assert first == second
-    clear_caches()
-
-
-def test_corrupt_cache_falls_back_to_recomputation(tmp_path):
-    import json
-
-    clear_caches()
-    good = char_table(4, cache_dir=tmp_path)
-    path = next(tmp_path.glob("sym-characters-n4*.json"))
-    doc = json.loads(path.read_text())
-    # poison every row so the random row probe must notice
-    doc["values"] = [[v + 1 for v in row] for row in doc["values"]]
-    path.write_text(json.dumps(doc))
-    clear_caches()
-    assert char_table(4, cache_dir=tmp_path) == good
-    clear_caches()
-
-
-def test_unreadable_cache_falls_back(tmp_path):
-    clear_caches()
-    good = char_table(4)
-    clear_caches()
-    path = tmp_path / f"sym-characters-n4.v1.json"
-    path.write_text("{ not json")
-    assert char_table(4, cache_dir=tmp_path) == good
-    clear_caches()

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from invcensus import __version__
+from invcensus.characters import clear_caches
 from invcensus.cli import main
 from invcensus.series import Series, write_series_file
 
@@ -42,10 +44,11 @@ def test_census_json_envelope(capsys):
     )
     assert list(doc) == ["command", "input", "result", "versions", "timing_ms"]
     assert doc["command"] == "census"
-    assert doc["input"]["n1"] == 2
-    assert doc["input"]["max_degree"] == 4
+    assert doc["input"] == {
+        "n1": 2, "n2": 2, "max_degree": 4, "degree_limit": 12, "format": "json"
+    }
     assert doc["result"] == {"truncation_degree": 4, "coefficients": [1, 1, 4, 6, 16]}
-    assert doc["versions"]["cache_format"] == 1
+    assert doc["versions"] == {"tool": __version__}
     assert isinstance(doc["timing_ms"], int)
 
 
@@ -149,6 +152,7 @@ def test_kron_parse_error(capsys):
 
 def test_kron_json(capsys):
     doc = run_json(capsys, "kron", "2,1", "2,1", "--format", "json")
+    assert doc["input"] == {"lambda": "2,1", "mu": "2,1", "format": "json"}
     assert doc["result"]["weight"] == 3
     assert doc["result"]["terms"] == [
         {"partition": [3], "multiplicity": 1},
@@ -262,34 +266,20 @@ def test_json_determinism(capsys):
     assert json.dumps(first) == json.dumps(second)
 
 
-def test_cache_dir_from_environment(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--cache-dir", "X"]])
+def test_removed_flags_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--n1", "1", "--n2", "1", "--max-degree", "2", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_table_writes_no_files(capsys, tmp_path, monkeypatch):
+    clear_caches()  # so that the table is built, not served from memory
     monkeypatch.setenv("INVCENSUS_CACHE", str(tmp_path))
     doc = run_json(capsys, "table", "5", "--format", "json")
-    assert doc["input"]["cache_dir"] == str(tmp_path)
-    assert (tmp_path / "sym-characters-n5.v1.json").exists()
-    again = run_json(capsys, "table", "5", "--format", "json")
-    assert again["result"] == doc["result"]
-
-
-def test_cache_dir_flag_beats_environment(capsys, tmp_path, monkeypatch):
-    env_dir = tmp_path / "env"
-    flag_dir = tmp_path / "flag"
-    env_dir.mkdir()
-    flag_dir.mkdir()
-    monkeypatch.setenv("INVCENSUS_CACHE", str(env_dir))
-    doc = run_json(capsys, "table", "4", "--cache-dir", str(flag_dir), "--format", "json")
-    assert doc["input"]["cache_dir"] == str(flag_dir)
-    assert (flag_dir / "sym-characters-n4.v1.json").exists()
-    assert not (env_dir / "sym-characters-n4.v1.json").exists()
-
-
-def test_threads_flag_echoed(capsys):
-    doc = run_json(
-        capsys,
-        "census", "--n1", "1", "--n2", "1", "--max-degree", "2",
-        "--threads", "4", "--format", "json",
-    )
-    assert doc["input"]["threads"] == 4
+    assert doc["input"] == {"n": 5, "format": "json"}
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version_flag(capsys):

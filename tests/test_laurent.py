@@ -39,12 +39,6 @@ def test_difference_of_squares():
     assert ((one + x) * (one - x)).terms == {(0,): 1, (2,): -1}
 
 
-def test_scale():
-    p = LaurentPoly(2, {(1, -1): 2})
-    assert p.scale(3).terms == {(1, -1): 6}
-    assert p.scale(0).terms == {}
-
-
 def test_constant_term():
     p = LaurentPoly(2, {(0, 0): -7, (1, 1): 3})
     assert p.constant_term() == -7

@@ -109,6 +109,18 @@ def test_haar_inexact_division_rejected():
         haar_constant_term(f, problem)
 
 
+def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
+    import invcensus.molien as molien
+
+    problem = CensusProblem(2, 1)
+    molien.clear_caches()
+    monkeypatch.setattr(
+        molien, "power_sum", lambda problem, m: LaurentPoly.monomial(3, (5, -5, 0))
+    )
+    with pytest.raises(ConsistencyError, match="past the bound"):
+        complete_homogeneous(problem, 1)
+
+
 def test_haar_variable_count_mismatch():
     with pytest.raises(ValueError, match="variables"):
         haar_constant_term(LaurentPoly.constant(2, 1), CensusProblem(2, 1))

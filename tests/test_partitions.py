@@ -2,6 +2,7 @@ import pytest
 
 from invcensus.errors import PartitionParseError
 from invcensus.partitions import (
+    as_partition,
     conjugate,
     dimension,
     format_partition,
@@ -139,6 +140,8 @@ def test_parse_rejects_bad_tokens():
         parse_partition("-1")
     with pytest.raises(PartitionParseError):
         parse_partition("")
+    with pytest.raises(PartitionParseError, match="positive integers"):
+        as_partition((True,))
 
 
 def test_enumeration_rejects_negative_input():

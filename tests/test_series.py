@@ -19,6 +19,8 @@ def test_construction_and_degree():
         Series([])
     with pytest.raises(ValueError):
         Series([1, 2.0])
+    with pytest.raises(ValueError):
+        Series([True, 2])
 
 
 def test_one():
