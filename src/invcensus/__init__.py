@@ -1,9 +1,9 @@
 """Exact counting of local unitary invariants of bipartite density matrices.
 
-The census route counts invariants through symmetric-group characters and
-Kronecker coefficients; the Molien route recounts them by torus constant
-terms; the factorizer searches for integrity-basis presentations of the
-resulting series.  All arithmetic is exact.
+The census route counts invariants as one inner product of symmetric-group
+class functions built from characters; the Molien route recounts them by
+torus constant terms; the factorizer searches for integrity-basis
+presentations of the resulting series.  All arithmetic is exact.
 """
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series, invariant_count
@@ -50,7 +50,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CensusProblem",

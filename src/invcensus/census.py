@@ -1,15 +1,24 @@
 """Degree-by-degree census of local unitary invariants of a bipartite system.
 
-For subsystem dimensions (N1, N2) the count at degree n sums, over partition
-pairs bounded by the subsystem dimensions, the joint multiplicities of their
-self-products; the internal labels are capped at min(N1^2, N2^2) parts.
+For subsystem dimensions (N1, N2) the count at degree n is one class-function
+inner product over the cycle types rho of S_n:
+
+    F_n = (1/n!) sum_rho |C_rho| Phi_N1(rho) Phi_N2(rho),
+    Phi_k(rho) = sum over kappa with at most k parts of chi_kappa(rho)^2.
+
+This equals the bounded pair sum of g(kappa,kappa,sigma) g(lam,lam,sigma) over
+l(kappa) <= N1, l(lam) <= N2 and l(sigma) <= min(N1^2, N2^2): the cap on sigma
+never binds, since g(kappa,kappa,sigma) = 0 once l(sigma) > l(kappa)^2 (Dvir,
+J. Algebra 154, 1993), so orthonormality of the characters collapses the sum
+over sigma.
 """
 
 from dataclasses import dataclass
+from math import factorial
 
-from .errors import ResourceLimitError
-from .kronecker import pair_weight
-from .partitions import partitions_of
+from .characters import _character
+from .errors import ConsistencyError, ResourceLimitError
+from .partitions import class_sizes, partitions_of
 from .series import Series
 
 # Default cap on the degree, so that a long run is asked for explicitly.  The
@@ -28,10 +37,6 @@ class CensusProblem:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.n1}x{self.n2}")
 
-    @property
-    def part_bound(self) -> int:
-        return min(self.n1**2, self.n2**2)
-
 
 def invariant_count(
     problem: CensusProblem, degree: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
@@ -43,12 +48,22 @@ def invariant_count(
         raise ResourceLimitError(
             f"degree {degree} exceeds the configured limit {degree_limit}"
         )
-    bound = problem.part_bound
+    left = partitions_of(degree, problem.n1)
+    right = partitions_of(degree, problem.n2)
+    order = factorial(degree)
     total = 0
-    for kappa in partitions_of(degree, problem.n1):
-        for lam in partitions_of(degree, problem.n2):
-            total += pair_weight(kappa, lam, bound)
-    return total
+    for rho, size in class_sizes(degree):
+        phi1 = sum(_character(kappa, rho) ** 2 for kappa in left)
+        phi2 = sum(_character(lam, rho) ** 2 for lam in right)
+        total += size * phi1 * phi2
+    # every term is nonnegative, so only a remainder can expose a wrong character
+    quotient, remainder = divmod(total, order)
+    if remainder:
+        raise ConsistencyError(
+            f"class sum for F_{degree} of {problem.n1}x{problem.n2} is "
+            f"{total}/{order}, not an integer"
+        )
+    return quotient
 
 
 def generating_series(

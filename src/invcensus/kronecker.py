@@ -11,7 +11,7 @@ from math import factorial
 
 from .characters import _character
 from .errors import ConsistencyError, WeightMismatchError
-from .partitions import Partition, as_partition, partitions_of, z_order
+from .partitions import Partition, as_partition, class_sizes, partitions_of
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,10 @@ def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
     n = sum(lam)
     order = factorial(n)
     total = 0
-    for rho in partitions_of(n):
+    for rho, size in class_sizes(n):
         prod = _character(lam, rho) * _character(mu, rho) * _character(nu, rho)
         if prod:
-            total += prod * (order // z_order(rho))
+            total += prod * size
     quotient, remainder = divmod(total, order)
     if remainder or quotient < 0:
         raise ConsistencyError(

@@ -82,6 +82,13 @@ def z_order(p: Partition) -> int:
     return z
 
 
+@lru_cache(maxsize=None)
+def class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
+    """(cycle type, n!/z_order) for each conjugacy class of S_n, in partitions_of order."""
+    order = factorial(n)
+    return tuple((rho, order // z_order(rho)) for rho in partitions_of(n))
+
+
 def dimension(p: Partition) -> int:
     """Dimension of the symmetric-group irreducible labeled by p (hook lengths)."""
     if not p:

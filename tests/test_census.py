@@ -1,7 +1,11 @@
 import pytest
 
+from invcensus import census
 from invcensus.census import CensusProblem, generating_series, invariant_count
-from invcensus.errors import ResourceLimitError
+from invcensus.errors import ConsistencyError, ResourceLimitError
+from invcensus.factorizer import RationalForm, expand
+from invcensus.kronecker import kronecker_coefficient, pair_weight
+from invcensus.partitions import partitions_of
 from invcensus.series import Series
 
 TWO_BY_TWO = [1, 1, 4, 6, 16, 23, 52, 77, 150, 224, 396, 583]
@@ -58,12 +62,6 @@ def test_monotone_in_dimensions():
         assert f11 <= f21 <= f22 <= f32
 
 
-def test_part_bound_derivation():
-    assert CensusProblem(2, 2).part_bound == 4
-    assert CensusProblem(2, 1).part_bound == 1
-    assert CensusProblem(3, 2).part_bound == 4
-
-
 def test_degree_limit_enforced():
     problem = CensusProblem(2, 2)
     with pytest.raises(ResourceLimitError, match="exceeds"):
@@ -81,3 +79,44 @@ def test_invalid_problems_rejected():
         invariant_count(CensusProblem(1, 1), -1)
     with pytest.raises(ValueError):
         generating_series(CensusProblem(1, 1), -1)
+
+
+def paper_pair_sum(problem, n):
+    """The paper's form: pair weights over l(kappa) <= N1, l(lam) <= N2, capped sigma."""
+    bound = min(problem.n1**2, problem.n2**2)
+    return sum(
+        pair_weight(kappa, lam, bound)
+        for kappa in partitions_of(n, problem.n1)
+        for lam in partitions_of(n, problem.n2)
+    )
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3])
+@pytest.mark.parametrize("n2", [1, 2, 3])
+def test_class_function_form_equals_paper_pair_sum(n1, n2):
+    problem = CensusProblem(n1, n2)
+    for n in range(10 if (n1, n2) == (2, 2) else 7):
+        assert invariant_count(problem, n) == paper_pair_sum(problem, n), n
+
+
+def test_sigma_cap_is_vacuous():
+    # g(kappa, kappa, sigma) = 0 once l(sigma) > l(kappa)^2
+    for n in range(9):
+        for kappa in partitions_of(n):
+            for sigma in partitions_of(n):
+                if len(sigma) > len(kappa) ** 2:
+                    assert kronecker_coefficient(kappa, kappa, sigma) == 0, (kappa, sigma)
+
+
+@pytest.mark.parametrize("n2", [1, 2, 3, 4])
+def test_one_by_n_closed_form(n2):
+    # a 1 x N system has the ring generated by tr rho^k, k = 1..N
+    closed = expand(RationalForm((), tuple(range(1, n2 + 1))), 10)
+    assert generating_series(CensusProblem(1, n2), 10) == closed
+
+
+def test_inexact_class_sum_raises(monkeypatch):
+    # only the identity class contributes: 1 * 2 * 2 = 4 is not divisible by 3!
+    monkeypatch.setattr(census, "_character", lambda shape, rho: int(rho == (1, 1, 1)))
+    with pytest.raises(ConsistencyError, match="not an integer"):
+        invariant_count(CensusProblem(2, 2), 3)

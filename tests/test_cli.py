@@ -253,6 +253,10 @@ def test_factor_malformed_file(capsys, tmp_path):
     status, _, err = run(capsys, "factor", "--series-file", str(path), "--free-generators", "1")
     assert status == 1
     assert "coefficients" in err
+    path.write_text('{"truncation_degree": true, "coefficients": [1, 1]}', encoding="utf-8")
+    status, _, err = run(capsys, "factor", "--series-file", str(path), "--free-generators", "1")
+    assert status == 1
+    assert "'truncation_degree' must be a nonnegative integer" in err
 
 
 def test_json_determinism(capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from invcensus.census import CensusProblem, invariant_count
+from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
 from invcensus.laurent import LaurentPoly
 from invcensus.molien import (
@@ -166,6 +166,14 @@ def test_molien_agrees_with_census_two_qubit_stretch():
     problem = CensusProblem(2, 2)
     for n in range(7, 9):
         assert molien_coefficient(problem, n) == invariant_count(problem, n)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, max_degree", [(1, 3, 8), (2, 3, 8), (1, 4, 6), (2, 4, 5), (3, 3, 5)]
+)
+def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
+    problem = CensusProblem(n1, n2)
+    assert molien_series(problem, max_degree) == generating_series(problem, max_degree)
 
 
 def test_molien_series_two_qubits():
