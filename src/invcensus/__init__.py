@@ -50,7 +50,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CensusProblem",

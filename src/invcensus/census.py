@@ -34,6 +34,10 @@ class CensusProblem:
     n2: int
 
     def __post_init__(self):
+        if type(self.n1) is not int or type(self.n2) is not int:  # rejects bool too
+            raise ValueError(
+                f"subsystem dimensions must be integers, got {self.n1!r}x{self.n2!r}"
+            )
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.n1}x{self.n2}")
 

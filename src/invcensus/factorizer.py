@@ -25,7 +25,7 @@ class RationalForm:
         for name in ("numerator_degrees", "denominator_degrees"):
             degrees = tuple(sorted(getattr(self, name)))
             for d in degrees:
-                if not isinstance(d, int) or d < 1:
+                if type(d) is not int or d < 1:  # rejects bool and float alike
                     raise ValueError(f"factor degrees must be positive integers, got {d!r}")
             object.__setattr__(self, name, degrees)
 

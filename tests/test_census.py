@@ -81,6 +81,12 @@ def test_invalid_problems_rejected():
         generating_series(CensusProblem(1, 1), -1)
 
 
+@pytest.mark.parametrize("n1, n2", [(2.5, 2), (2, 2.0), (True, 2), (2, False), ("2", 2)])
+def test_non_integer_dimensions_rejected(n1, n2):
+    with pytest.raises(ValueError, match="must be integers"):
+        CensusProblem(n1, n2)
+
+
 def paper_pair_sum(problem, n):
     """The paper's form: pair weights over l(kappa) <= N1, l(lam) <= N2, capped sigma."""
     bound = min(problem.n1**2, problem.n2**2)

@@ -56,6 +56,8 @@ def test_rational_form_sorts_and_validates():
     assert form.denominator_degrees == (1, 2, 2)
     with pytest.raises(ValueError, match="positive integers"):
         RationalForm((0,), ())
+    with pytest.raises(ValueError, match="positive integers"):
+        RationalForm((True,), (1,))
 
 
 def test_bookkeeping_counts():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from invcensus.census import CensusProblem, generating_series, invariant_count
@@ -76,6 +78,16 @@ def test_complete_homogeneous_inversion_symmetric(problem, top):
         assert h.invert_variables() == h
 
 
+@pytest.mark.parametrize(
+    "problem", [CensusProblem(2, 1), CensusProblem(2, 2), CensusProblem(3, 2)]
+)
+def test_complete_homogeneous_counts_multisets(problem):
+    # at x = 1, h_n counts the degree-n multisets of the N1^2 * N2^2 eigenvalues
+    dim = problem.n1**2 * problem.n2**2
+    for n in range(7):
+        assert sum(complete_homogeneous(problem, n).terms.values()) == comb(dim + n - 1, n)
+
+
 def test_complete_homogeneous_rejects_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         complete_homogeneous(CensusProblem(2, 2), -1)
@@ -113,12 +125,22 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
     import invcensus.molien as molien
 
     problem = CensusProblem(2, 1)
-    molien.clear_caches()
-    monkeypatch.setattr(
-        molien, "power_sum", lambda problem, m: LaurentPoly.monomial(3, (5, -5, 0))
-    )
+    monkeypatch.setattr(molien, "_weights", lambda problem: [(5, -5, 0)])
     with pytest.raises(ConsistencyError, match="past the bound"):
         complete_homogeneous(problem, 1)
+    with pytest.raises(ConsistencyError, match="past the bound"):
+        molien_series(problem, 1)
+
+
+def test_negative_molien_coefficient_rejected(monkeypatch):
+    import invcensus.molien as molien
+
+    weyl = molien._weyl_factor
+    monkeypatch.setattr(
+        molien, "_weyl_factor", lambda problem: {e: -c for e, c in weyl(problem).items()}
+    )
+    with pytest.raises(ConsistencyError, match="came out negative"):
+        molien_series(CensusProblem(2, 1), 2)
 
 
 def test_haar_variable_count_mismatch():
@@ -136,10 +158,16 @@ def test_streamed_haar_matches_materialized_product(problem, top):
         order *= k
     for k in range(1, problem.n2 + 1):
         order *= k
+    weyl = _weyl_factor(problem)
     for n in range(top + 1):
         h = complete_homogeneous(problem, n)
-        full = (h * _weyl_factor(problem)).constant_term()
-        assert haar_constant_term(h, problem) == full // order
+        full = {}
+        for e1, c1 in h.terms.items():
+            for e2, c2 in weyl.items():
+                key = tuple(a + b for a, b in zip(e1, e2))
+                full[key] = full.get(key, 0) + c1 * c2
+        constant = full.get((0,) * (problem.n1 + problem.n2), 0)
+        assert haar_constant_term(h, problem) == constant // order
 
 
 def test_molien_coefficient_two_qubit_values():
@@ -169,11 +197,14 @@ def test_molien_agrees_with_census_two_qubit_stretch():
 
 
 @pytest.mark.parametrize(
-    "n1, n2, max_degree", [(1, 3, 8), (2, 3, 8), (1, 4, 6), (2, 4, 5), (3, 3, 5)]
+    "n1, n2, max_degree",
+    [(1, 3, 8), (2, 3, 8), (1, 4, 6), (2, 4, 5), (3, 3, 5), (2, 2, 16), (3, 2, 6)],
 )
 def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
     problem = CensusProblem(n1, n2)
-    assert molien_series(problem, max_degree) == generating_series(problem, max_degree)
+    assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
+        problem, max_degree, degree_limit=max_degree
+    )
 
 
 def test_molien_series_two_qubits():
