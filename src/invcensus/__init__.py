@@ -6,6 +6,7 @@ torus constant terms; the factorizer searches for integrity-basis
 presentations of the resulting series.  All arithmetic is exact.
 """
 
+from . import characters, kronecker, partitions
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series, invariant_count
 from .characters import CharTable, char_table, character
 from .errors import (
@@ -50,7 +51,17 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo: character tables and values, Kronecker coefficients,
+    partitions and class sizes.  The next computation starts cold."""
+    characters.clear_caches()
+    kronecker.clear_caches()
+    partitions._partitions.cache_clear()
+    partitions.class_sizes.cache_clear()
+
 
 __all__ = [
     "CensusProblem",
@@ -70,6 +81,7 @@ __all__ = [
     "WeightMismatchError",
     "char_table",
     "character",
+    "clear_caches",
     "compare",
     "complete_homogeneous",
     "conjugate",

@@ -9,7 +9,6 @@ uniquely, so the result is a ranked list, not an answer.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 
 from .series import Series
 
@@ -76,25 +75,40 @@ def compare(left: Series, right: Series):
     return None
 
 
-def _greedy_factor(coeffs: list[int], max_factor_degree: int) -> tuple[int, ...]:
+def _greedy_factor(
+    coeffs: list[int], max_factor_degree: int
+) -> tuple[tuple[int, ...], int | None]:
     """Pull (1+x^a) factors off the series in place, lowest degree first.
 
     Stops when the lowest surviving coefficient is negative (no nonnegative
     polynomial continues the series) or its degree exceeds the cap.  Trailing
     junk from a truncated target is expected and does not halt extraction.
+    The constant term must be 1.  Returns the extracted degrees and the degree
+    of the lowest nonzero coefficient left above degree 0, or None when
+    nothing is left.
     """
     degree = len(coeffs) - 1
     extracted = []
+    lowest = 1
     while True:
-        lowest = next((i for i in range(1, degree + 1) if coeffs[i]), None)
-        if lowest is None:
-            break
+        # dividing by (1+x^a) keeps the zeros below a, so the scan resumes at a
+        while lowest <= degree and not coeffs[lowest]:
+            lowest += 1
+        if lowest > degree:
+            return tuple(extracted), None
         if coeffs[lowest] < 0 or lowest > max_factor_degree:
-            break
-        for i in range(lowest, degree + 1):
+            return tuple(extracted), lowest
+        # below 2*lowest the divisor only meets the constant term 1
+        coeffs[lowest] -= 1
+        for i in range(2 * lowest, degree + 1):
             coeffs[i] -= coeffs[i - lowest]
         extracted.append(lowest)
-    return tuple(extracted)
+
+
+def _require_int(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:  # rejects bool and float alike
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -110,6 +124,40 @@ class FitReport:
     degree_one_anchored: bool = field(compare=False)
 
 
+def _fit(
+    target: Series,
+    denominator_degrees: tuple[int, ...],
+    numerator: Series,
+    nonnegative_through: int,
+    max_factor_degree: int,
+    degree_one_anchored: bool,
+) -> FitReport:
+    """Factor a numerator N = T*Prod(1-x^b) and read the fit off the remainder.
+
+    Greedy division leaves N = Prod(1+x^a) * R, so the candidate expansion E
+    satisfies E - T = Prod(1+x^a) * (1 - R) / Prod(1-x^b).  Both outer factors
+    have constant term 1, so E and T first differ at the lowest m >= 1 with
+    R[m] != 0, where E[m] = T[m] - R[m].
+    """
+    remainder = list(numerator.coeffs)
+    factors, lowest = _greedy_factor(remainder, max_factor_degree)
+    if lowest is None:
+        mismatch = None
+        match_degree = target.degree
+    else:
+        mismatch = (lowest, target[lowest] - remainder[lowest], target[lowest])
+        match_degree = lowest - 1
+    return FitReport(
+        candidate=RationalForm(factors, denominator_degrees),
+        match_degree=match_degree,
+        first_mismatch=mismatch,
+        numerator_nonnegative_through=nonnegative_through,
+        numerator_series=numerator,
+        fully_factored=lowest is None,
+        degree_one_anchored=degree_one_anchored,
+    )
+
+
 def fit_denominator(
     target: Series,
     denominator_degrees,
@@ -121,25 +169,20 @@ def fit_denominator(
     degree = target.degree
     if max_factor_degree is None:
         max_factor_degree = degree
+    else:
+        _require_int("max_factor_degree", max_factor_degree, 0)
+    denominator_degrees = tuple(denominator_degrees)  # read once, even from an iterator
     numerator = numerator_for_denominator(target, denominator_degrees, degree)
-    nonnegative_through = degree
-    for n in range(degree + 1):
-        if numerator[n] < 0:
-            nonnegative_through = n - 1
-            break
-    remainder = list(numerator.coeffs)
-    factors = _greedy_factor(remainder, max_factor_degree)
-    candidate = RationalForm(factors, tuple(denominator_degrees))
-    mismatch = compare(expand(candidate, degree), target)
-    match_degree = degree if mismatch is None else mismatch[0] - 1
-    return FitReport(
-        candidate=candidate,
-        match_degree=match_degree,
-        first_mismatch=mismatch,
-        numerator_nonnegative_through=nonnegative_through,
-        numerator_series=numerator,
-        fully_factored=not any(remainder[1:]),
-        degree_one_anchored=degree_one_anchored,
+    nonnegative_through = next(
+        (n - 1 for n in range(degree + 1) if numerator[n] < 0), degree
+    )
+    return _fit(
+        target,
+        denominator_degrees,
+        numerator,
+        nonnegative_through,
+        max_factor_degree,
+        degree_one_anchored,
     )
 
 
@@ -156,6 +199,12 @@ def search_candidates(
     through the target's truncation.  When the target has exactly one linear
     invariant (coefficient 1 at degree 1) the denominator is anchored to
     contain exactly one degree-1 factor.
+
+    Denominators are walked depth-first in nondecreasing order, carrying the
+    partial numerator T*Prod(1-x^b) of each prefix down the tree.  A factor
+    (1-x^b) leaves every coefficient below b unchanged, so a prefix whose
+    numerator is already negative below the next factor degree heads a
+    subtree in which nothing survives, and that subtree is skipped.
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
@@ -164,29 +213,43 @@ def search_candidates(
     degree = target.degree
     if max_factor_degree is None:
         max_factor_degree = degree
-    if free_generators is not None:
-        if free_generators < 0:
-            raise ValueError(f"free_generators must be nonnegative, got {free_generators}")
-        sizes = [free_generators]
     else:
-        sizes = list(range(1, max_total_factors + 1))
+        _require_int("max_factor_degree", max_factor_degree, 1)
+    if max_total_factors is not None:
+        _require_int("max_total_factors", max_total_factors, 1)
+    if free_generators is not None:
+        _require_int("free_generators", free_generators, 0)
+        smallest = largest = free_generators
+    else:
+        smallest, largest = 1, max_total_factors
     anchored = degree >= 1 and target[1] == 1
+    # stands for "no negative coefficient": past every degree and every factor
+    nonnegative = max(degree, max_factor_degree) + 1
     reports = []
-    for size in sizes:
-        for dens in combinations_with_replacement(range(1, max_factor_degree + 1), size):
-            if anchored and dens.count(1) != 1:
-                continue
-            numerator = numerator_for_denominator(target, dens, degree)
-            if any(c < 0 for c in numerator):
-                continue
+
+    def times_one_minus(coeffs, b):
+        # coefficients below b are unchanged, and b never passes the first
+        # negative degree of coeffs, so the scan for a negative starts at b
+        tail = [c - d for c, d in zip(coeffs[b:], coeffs)]
+        negative = next((b + j for j, c in enumerate(tail) if c < 0), nonnegative)
+        return coeffs[:b] + tail, negative
+
+    def descend(prefix, coeffs, first_negative, next_lowest):
+        if len(prefix) >= smallest and first_negative == nonnegative:
             reports.append(
-                fit_denominator(
-                    target,
-                    dens,
-                    max_factor_degree=max_factor_degree,
-                    degree_one_anchored=anchored,
-                )
+                _fit(target, prefix, Series(coeffs), degree, max_factor_degree, anchored)
             )
+        if len(prefix) < largest:
+            for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
+                descend(prefix + (b,), *times_one_minus(coeffs, b), b)
+
+    coeffs = list(target.coeffs)
+    if not anchored:
+        first_negative = next((n for n, c in enumerate(coeffs) if c < 0), nonnegative)
+        descend((), coeffs, first_negative, 1)
+    elif largest >= 1:
+        # the one degree-1 factor goes first; the rest are drawn from 2 up
+        descend((1,), *times_one_minus(coeffs, 1), 2)
     reports.sort(
         key=lambda r: (
             -r.match_degree,

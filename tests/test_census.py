@@ -1,6 +1,10 @@
+import importlib
+import pkgutil
+
 import pytest
 
-from invcensus import census
+import invcensus
+from invcensus import census, characters, kronecker
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
 from invcensus.factorizer import RationalForm, expand
@@ -126,3 +130,21 @@ def test_inexact_class_sum_raises(monkeypatch):
     monkeypatch.setattr(census, "_character", lambda shape, rho: int(rho == (1, 1, 1)))
     with pytest.raises(ConsistencyError, match="not an integer"):
         invariant_count(CensusProblem(2, 2), 3)
+
+
+def test_clear_caches_empties_every_memo():
+    generating_series(CensusProblem(2, 2), 8)
+    characters.char_table(6)
+    kronecker.kronecker_coefficient((2, 1), (2, 1), (2, 1))
+    memos = {
+        id(obj): obj
+        for info in pkgutil.iter_modules(invcensus.__path__)
+        if info.name != "__main__"
+        for obj in vars(importlib.import_module(f"invcensus.{info.name}")).values()
+        if hasattr(obj, "cache_info")
+    }.values()
+    assert len(memos) == 4
+    assert all(memo.cache_info().currsize > 0 for memo in memos)
+    invcensus.clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+    assert characters._tables == {}

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -147,6 +148,8 @@ def test_numerator_round_trip():
 def test_fit_rediscovers_saturated_numerator():
     report = fit_denominator(TARGET_F, G_DENOMINATOR, max_factor_degree=9)
     assert report.candidate == G_FORM
+    # a one-shot iterator gives the same fit as the tuple it yields
+    assert fit_denominator(TARGET_F, iter(G_DENOMINATOR), max_factor_degree=9) == report
     assert report.match_degree == 9
     assert report.first_mismatch == (10, 398, 396)
     assert not report.fully_factored
@@ -198,7 +201,8 @@ def test_search_rediscovers_saturated_denominator():
 
 def test_search_reports_are_self_consistent():
     reports = search_candidates(TARGET_F, free_generators=9, max_factor_degree=9)
-    for r in reports[:50]:
+    assert len(reports) == 4862
+    for r in reports:
         recheck = compare(expand(r.candidate, TARGET_F.degree), TARGET_F)
         if recheck is None:
             assert r.match_degree == TARGET_F.degree
@@ -206,6 +210,7 @@ def test_search_reports_are_self_consistent():
         else:
             assert r.first_mismatch == recheck
             assert r.match_degree == recheck[0] - 1
+        assert r.fully_factored == (r.first_mismatch is None)
     # ranking is by match degree first, then parsimony
     degrees = [r.match_degree for r in reports]
     assert degrees == sorted(degrees, reverse=True)
@@ -228,7 +233,134 @@ def test_search_size_sweep():
 def test_search_empty_box():
     # anchored target but no denominator with exactly one linear factor fits
     assert search_candidates(Series([1, 1, 1]), free_generators=3, max_factor_degree=1) == []
+    # the empty denominator has no linear factor at all
+    assert search_candidates(Series([1, 1, 1]), free_generators=0) == []
     with pytest.raises(ValueError, match="free_generators or max_total_factors"):
         search_candidates(Series([1, 1]))
     with pytest.raises(ValueError, match="constant term 1"):
         search_candidates(Series([2, 1]), free_generators=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"free_generators": True},
+        {"free_generators": 2.0},
+        {"free_generators": -1},
+        {"free_generators": 2, "max_factor_degree": -1},
+        {"free_generators": 2, "max_factor_degree": 0},
+        {"free_generators": 2, "max_factor_degree": True},
+        {"free_generators": 2, "max_factor_degree": 3.0},
+        {"max_total_factors": -2},
+        {"max_total_factors": 0},
+        {"max_total_factors": True},
+        {"max_total_factors": 2.0},
+    ],
+)
+def test_search_rejects_non_integer_or_out_of_range_sizes(kwargs):
+    with pytest.raises(ValueError, match="must be a (positive|nonnegative) integer"):
+        search_candidates(TARGET_F, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [True, -1, 1.5, 9.0])
+def test_fit_rejects_non_integer_or_negative_factor_cap(bad):
+    with pytest.raises(ValueError, match="must be a nonnegative integer"):
+        fit_denominator(TARGET_F, G_DENOMINATOR, max_factor_degree=bad)
+
+
+def _report_row(r):
+    return (
+        r.candidate,
+        r.match_degree,
+        r.first_mismatch,
+        r.numerator_nonnegative_through,
+        r.numerator_series,
+        r.fully_factored,
+        r.degree_one_anchored,
+    )
+
+
+def _filter_then_fit(target, sizes, max_factor_degree):
+    """Every multiset, filtered by its numerator, then fitted from scratch."""
+    degree = target.degree
+    anchored = degree >= 1 and target[1] == 1
+    rows = []
+    for size in sizes:
+        for dens in combinations_with_replacement(range(1, max_factor_degree + 1), size):
+            if anchored and dens.count(1) != 1:
+                continue
+            numerator = numerator_for_denominator(target, dens, degree)
+            if any(c < 0 for c in numerator):
+                continue
+            remainder = list(numerator)
+            factors = []
+            while True:  # greedy extraction, rescanning from degree 1 each time
+                lowest = next((i for i in range(1, degree + 1) if remainder[i]), None)
+                if lowest is None or remainder[lowest] < 0 or lowest > max_factor_degree:
+                    break
+                for i in range(lowest, degree + 1):
+                    remainder[i] -= remainder[i - lowest]
+                factors.append(lowest)
+            candidate = RationalForm(tuple(factors), dens)
+            mismatch = compare(expand(candidate, degree), target)
+            match_degree = degree if mismatch is None else mismatch[0] - 1
+            rows.append(
+                (candidate, match_degree, mismatch, degree, numerator,
+                 not any(remainder[1:]), anchored)
+            )
+    rows.sort(
+        key=lambda row: (
+            -row[1],
+            row[0].total_invariant_count,
+            row[0].denominator_degrees,
+            row[0].numerator_degrees,
+        )
+    )
+    return rows
+
+
+# a target whose partial numerators go negative below the next factor degree
+PRUNED_TARGET = Series([1, 3, 4, 4, 5, 7, 9, 10, 12])
+
+
+@pytest.mark.parametrize(
+    "target, kwargs, sizes",
+    [
+        (TARGET_F, {"free_generators": 9, "max_factor_degree": 9}, [9]),
+        (Series([1, 1, 2, 2, 3, 3, 4, 4, 5]), {"free_generators": 2, "max_factor_degree": 4}, [2]),
+        (TARGET_F, {"max_total_factors": 3, "max_factor_degree": 6}, [1, 2, 3]),
+        (Series([1, 2, 2, 2, 2]), {"max_total_factors": 3, "max_factor_degree": 4}, [1, 2, 3]),
+        (PRUNED_TARGET, {"max_total_factors": 3, "max_factor_degree": 5}, [1, 2, 3]),
+        (PRUNED_TARGET, {"free_generators": 0, "max_factor_degree": 5}, [0]),
+    ],
+)
+def test_search_equals_filter_then_fit(target, kwargs, sizes):
+    expected = _filter_then_fit(target, sizes, kwargs["max_factor_degree"])
+    reports = search_candidates(target, **kwargs)
+    assert [_report_row(r) for r in reports] == expected
+    assert reports
+
+
+def test_pruned_target_is_negative_below_the_next_factor():
+    # (1, 1) leaves a negative coefficient at degree 2, and a factor (1-x^b)
+    # with b >= 3 keeps it, which is why the search skips those subtrees
+    degree = PRUNED_TARGET.degree
+    assert numerator_for_denominator(PRUNED_TARGET, (1, 1), degree)[2] < 0
+    for b in range(3, 6):
+        for dens in ((1, 1, b), (1, 1, b, 5)):
+            assert numerator_for_denominator(PRUNED_TARGET, dens, degree)[2] < 0
+
+
+def test_fit_mismatch_matches_expansion_for_every_small_denominator():
+    negative = 0
+    for size in range(5):
+        for dens in combinations_with_replacement(range(1, 9), size):
+            report = fit_denominator(TARGET_F, dens)
+            mismatch = compare(expand(report.candidate, TARGET_F.degree), TARGET_F)
+            assert report.first_mismatch == mismatch
+            assert report.match_degree == (
+                TARGET_F.degree if mismatch is None else mismatch[0] - 1
+            )
+            assert report.fully_factored == (mismatch is None)
+            negative += report.numerator_nonnegative_through < TARGET_F.degree
+    assert negative > 0
