@@ -42,10 +42,17 @@ class CensusProblem:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.n1}x{self.n2}")
 
 
+def _require_degree(name: str, value) -> None:
+    if type(value) is not int:  # rejects bool and float alike
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def invariant_count(
     problem: CensusProblem, degree: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
 ) -> int:
     """Number of linearly independent invariants of the given degree."""
+    _require_degree("degree", degree)
+    _require_degree("degree_limit", degree_limit)
     if degree < 0:
         raise ValueError(f"degree must be nonnegative, got {degree}")
     if degree > degree_limit:
@@ -74,6 +81,8 @@ def generating_series(
     problem: CensusProblem, max_degree: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
 ) -> Series:
     """Counts for degrees 0 .. max_degree as a truncated series."""
+    _require_degree("max_degree", max_degree)
+    _require_degree("degree_limit", degree_limit)
     if max_degree < 0:
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
     return Series(

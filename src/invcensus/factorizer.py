@@ -208,8 +208,8 @@ def search_candidates(
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
-    if free_generators is None and max_total_factors is None:
-        raise ValueError("either free_generators or max_total_factors is required")
+    if (free_generators is None) == (max_total_factors is None):
+        raise ValueError("exactly one of free_generators or max_total_factors is required")
     degree = target.degree
     if max_factor_degree is None:
         max_factor_degree = degree

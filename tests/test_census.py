@@ -91,6 +91,24 @@ def test_non_integer_dimensions_rejected(n1, n2):
         CensusProblem(n1, n2)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: invariant_count(p, True),
+        lambda p: invariant_count(p, 2.0),
+        lambda p: invariant_count(p, 2, degree_limit=True),
+        lambda p: invariant_count(p, 2, degree_limit=12.0),
+        lambda p: generating_series(p, True),
+        lambda p: generating_series(p, 2.0),
+        lambda p: generating_series(p, 1, degree_limit=True),
+        lambda p: generating_series(p, 1, degree_limit="12"),
+    ],
+)
+def test_non_integer_degrees_rejected(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(CensusProblem(2, 2))
+
+
 def paper_pair_sum(problem, n):
     """The paper's form: pair weights over l(kappa) <= N1, l(lam) <= N2, capped sigma."""
     bound = min(problem.n1**2, problem.n2**2)

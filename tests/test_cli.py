@@ -72,6 +72,21 @@ def test_census_rejects_bad_dimension(capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--max-degree", "-1", "expected a nonnegative integer, got '-1'"),
+        ("--max-degree", "2.5", "expected an integer, got '2.5'"),
+    ],
+)
+def test_integer_options_report_their_bound(capsys, flag, text, message):
+    argv = {"--n1": "2", "--n2": "2", "--max-degree": "3"}
+    argv[flag] = text
+    with pytest.raises(SystemExit):
+        main(["census", *[x for pair in argv.items() for x in pair]])
+    assert message in capsys.readouterr().err
+
+
 def test_molien_check_agreement(capsys):
     status, out, _ = run(
         capsys, "molien", "--n1", "2", "--n2", "2", "--max-degree", "5", "--check"
@@ -231,6 +246,19 @@ def test_factor_json(capsys, tmp_path):
     assert top["match_degree"] == 8
     assert top["first_mismatch"] is None
     assert top["fully_factored"] is True
+
+
+def test_factor_rejects_both_size_options(capsys, tmp_path):
+    path = tmp_path / "target.json"
+    write_series_file(path, Series(TWO_BY_TWO))
+    status, out, err = run(
+        capsys,
+        "factor", "--series-file", str(path), "--free-generators", "9",
+        "--max-total-factors", "2", "--max-factor-degree", "9",
+    )
+    assert status == 1
+    assert out == ""
+    assert "exactly one of free_generators or max_total_factors" in err
 
 
 def test_factor_missing_file(capsys):

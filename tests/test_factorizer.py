@@ -230,6 +230,12 @@ def test_search_size_sweep():
     assert reports[0].candidate == RationalForm((1,), (1,))
 
 
+def test_search_rejects_both_size_options():
+    # a fixed size and a size sweep cannot both hold; neither may be dropped silently
+    with pytest.raises(ValueError, match="exactly one of free_generators or max_total_factors"):
+        search_candidates(TARGET_F, free_generators=9, max_total_factors=2)
+
+
 def test_search_empty_box():
     # anchored target but no denominator with exactly one linear factor fits
     assert search_candidates(Series([1, 1, 1]), free_generators=3, max_factor_degree=1) == []

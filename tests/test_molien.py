@@ -1,12 +1,14 @@
+from itertools import product
 from math import comb
 
 import pytest
 
+import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
+from invcensus.factorizer import RationalForm, expand
 from invcensus.laurent import LaurentPoly
 from invcensus.molien import (
-    _weyl_factor,
     complete_homogeneous,
     haar_constant_term,
     molien_coefficient,
@@ -122,8 +124,6 @@ def test_haar_inexact_division_rejected():
 
 
 def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
-    import invcensus.molien as molien
-
     problem = CensusProblem(2, 1)
     monkeypatch.setattr(molien, "_weights", lambda problem: [(5, -5, 0)])
     with pytest.raises(ConsistencyError, match="past the bound"):
@@ -133,14 +133,66 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
 
 
 def test_negative_molien_coefficient_rejected(monkeypatch):
-    import invcensus.molien as molien
-
     weyl = molien._weyl_factor
     monkeypatch.setattr(
-        molien, "_weyl_factor", lambda problem: {e: -c for e, c in weyl(problem).items()}
+        molien,
+        "_weyl_factor",
+        lambda problem, off: {e: -c for e, c in weyl(problem, off).items()},
     )
     with pytest.raises(ConsistencyError, match="came out negative"):
         molien_series(CensusProblem(2, 1), 2)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 3), (3, 1), (2, 3)])
+def test_pack_unpack_round_trip_over_the_box(n1, n2):
+    problem = CensusProblem(n1, n2)
+    off = molien._offset(problem, 2)
+    base, ndigits = 2 * off + 1, n1 + n2 - 2
+    keys = []
+    for coords in product(range(-off, off + 1), repeat=ndigits):
+        key = molien._packed([c + off for c in coords], base)
+        assert molien._unpacked(key, off, ndigits) == coords
+        e = molien._a_coordinates(problem, coords)
+        assert len(e) == n1 + n2 and molien._root_coordinates(problem, e) == coords
+        keys.append(key)
+    # the box fills 0 .. B^r - 1 exactly once, so no two vectors share a key
+    assert sorted(keys) == list(range(base**ndigits))
+
+
+def test_trivial_system_levels_are_empty_above_zero():
+    # 1x1 has r = 0 root coordinates and only its one zero weight
+    levels, zeros, off = molien._complete_homogeneous_levels(CensusProblem(1, 1), 4)
+    assert zeros == 1
+    assert levels == [{0: 1}, {}, {}, {}, {}]
+
+
+def test_carrying_weight_rejected_before_packing(monkeypatch):
+    # root coordinates (3, -1) with off = 1, B = 3 would pack to 3 - 3 = 0,
+    # a zero step that no later check on the levels could tell apart
+    monkeypatch.setattr(molien, "_weights", lambda problem: [(3, -3, -1, 1)])
+    with pytest.raises(ConsistencyError, match="past the bound 1"):
+        molien_series(CensusProblem(2, 2), 1)
+
+
+@pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
+def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
+    # the weights are untouched, so only the check on finished levels can fire;
+    # a key one box width away has every digit in range and only the box check sees it
+    problem = CensusProblem(2, 1)
+    base = 2 * molien._offset(problem, 2) + 1
+    stray = {"above the box": base, "below the box": -base, "digit past n": 2}[shift]
+    product_levels = molien._product_levels
+
+    def corrupted(origin, steps, max_degree):
+        levels = product_levels(origin, steps, max_degree)
+        levels[1][origin + stray] = 1
+        return levels
+
+    monkeypatch.setattr(molien, "_product_levels", corrupted)
+    with pytest.raises(ConsistencyError, match="past the bound"):
+        molien_series(problem, 2)
+    with pytest.raises(ConsistencyError, match="past the bound"):
+        complete_homogeneous(problem, 2)
 
 
 def test_haar_variable_count_mismatch():
@@ -158,7 +210,19 @@ def test_streamed_haar_matches_materialized_product(problem, top):
         order *= k
     for k in range(1, problem.n2 + 1):
         order *= k
-    weyl = _weyl_factor(problem)
+    # Delta(a)·Delta(b) = prod over ordered pairs i != j in a block of (1 - x_i/x_j)
+    nvars = problem.n1 + problem.n2
+    weyl = {(0,) * nvars: 1}
+    for block in (range(problem.n1), range(problem.n1, nvars)):
+        for i in block:
+            for j in block:
+                if i == j:
+                    continue
+                out = dict(weyl)
+                for e, c in weyl.items():
+                    key = tuple(x + (s == i) - (s == j) for s, x in enumerate(e))
+                    out[key] = out.get(key, 0) - c
+                weyl = out
     for n in range(top + 1):
         h = complete_homogeneous(problem, n)
         full = {}
@@ -166,7 +230,8 @@ def test_streamed_haar_matches_materialized_product(problem, top):
             for e2, c2 in weyl.items():
                 key = tuple(a + b for a, b in zip(e1, e2))
                 full[key] = full.get(key, 0) + c1 * c2
-        constant = full.get((0,) * (problem.n1 + problem.n2), 0)
+        constant = full.get((0,) * nvars, 0)
+        assert constant % order == 0
         assert haar_constant_term(h, problem) == constant // order
 
 
@@ -198,13 +263,31 @@ def test_molien_agrees_with_census_two_qubit_stretch():
 
 @pytest.mark.parametrize(
     "n1, n2, max_degree",
-    [(1, 3, 8), (2, 3, 8), (1, 4, 6), (2, 4, 5), (3, 3, 5), (2, 2, 16), (3, 2, 6)],
+    [
+        (1, 3, 8),
+        (2, 3, 8),
+        (1, 4, 6),
+        (2, 4, 5),
+        (3, 3, 5),
+        (2, 2, 16),
+        (3, 2, 6),
+        (3, 3, 9),
+        (2, 2, 24),
+    ],
 )
 def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
     problem = CensusProblem(n1, n2)
     assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
         problem, max_degree, degree_limit=max_degree
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_molien_one_by_n_closed_form(n):
+    # U(1) acts trivially, so F is the Hilbert series of the U(N)-conjugation
+    # invariants: prod_{k<=N} 1/(1 - t^k)
+    expected = expand(RationalForm((), tuple(range(1, n + 1))), 12)
+    assert molien_series(CensusProblem(1, n), 12) == expected
 
 
 def test_molien_series_two_qubits():
@@ -221,3 +304,21 @@ def test_molien_degree_limit():
     with pytest.raises(ResourceLimitError, match="exceeds the configured limit"):
         molien_coefficient(CensusProblem(1, 1), 13)
     assert molien_coefficient(CensusProblem(1, 1), 13, degree_limit=13) == 1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p: molien_series(p, True),
+        lambda p: molien_series(p, 2.0),
+        lambda p: molien_series(p, 2, degree_limit=True),
+        lambda p: molien_series(p, 2, degree_limit=12.0),
+        lambda p: molien_coefficient(p, True),
+        lambda p: molien_coefficient(p, 2.0),
+        lambda p: molien_coefficient(p, 2, degree_limit=True),
+        lambda p: molien_coefficient(p, 2, degree_limit="12"),
+    ],
+)
+def test_non_integer_degrees_rejected(call):
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(CensusProblem(2, 2))
