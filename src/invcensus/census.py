@@ -19,6 +19,7 @@ from math import factorial
 from .characters import _character
 from .errors import ConsistencyError, ResourceLimitError
 from .partitions import class_sizes, partitions_of
+from .partitions import require_int as _require_degree
 from .series import Series
 
 # Default cap on the degree, so that a long run is asked for explicitly.  The
@@ -40,11 +41,6 @@ class CensusProblem:
             )
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.n1}x{self.n2}")
-
-
-def _require_degree(name: str, value) -> None:
-    if type(value) is not int:  # rejects bool and float alike
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def invariant_count(

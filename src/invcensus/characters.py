@@ -1,14 +1,16 @@
 """Irreducible characters of the symmetric group via border-strip recursion.
 
-The recursion removes strips of the largest remaining cycle length first and
-is memoized on (shape, remaining cycle type), so a full table for one n shares
-almost all of its work.
+The Murnaghan-Nakayama recursion removes strips of the largest remaining
+cycle length first, working on shifted beta-numbers, and is memoized on
+(shape, remaining cycle type), so a full table for one n shares almost all of
+its work.  Each row of values chi_shape over the classes of S_n is memoized
+as a tuple too; the character tables and the Kronecker layer share these rows.
 """
 
 from functools import lru_cache
 
 from .errors import ResourceLimitError, WeightMismatchError
-from .partitions import Partition, as_partition, partitions_of
+from .partitions import Partition, as_partition, partitions_of, require_int
 
 # Hard safety cap: tables grow like p(n)^2 and the recursion behind them much
 # faster; anything past this needs an explicit override.
@@ -20,29 +22,28 @@ _tables: dict[int, "CharTable"] = {}
 def _strip_removals(shape: Partition, length: int):
     """Yield (reduced shape, height) for each removable border strip.
 
-    Strips are enumerated by their starting (topmost) row; at most one strip
-    of a given length starts in each row.  Height is rows spanned minus one.
+    In shifted beta-numbers shape[k] - k, removing a strip that starts in row
+    i moves that row's bead down by `length` to t = shape[i] - i - length.
+    The move is legal when t + len(shape) - 1 >= 0 and no row holds t; the
+    rows i+1..j-1 whose beads lie between move up one row (losing a cell
+    each), and the height is the number of beads jumped.  Strips come out in
+    order of their starting (topmost) row.
     """
     rows = len(shape)
-    for start in range(rows):
-        for end in range(start, rows):
-            # cells left in the last strip row after removal
-            leftover = shape[start] + (end - start) - length
-            if leftover > shape[end] - 1:
-                break
-            below = shape[end + 1] if end + 1 < rows else 0
-            if leftover < below:
-                continue
-            reduced = (
-                shape[:start]
-                + tuple(shape[k + 1] - 1 for k in range(start, end))
-                + (leftover,)
-                + shape[end + 1 :]
-            )
-            while reduced and reduced[-1] == 0:
-                reduced = reduced[:-1]
-            yield reduced, end - start
-            break
+    for i in range(rows):
+        t = shape[i] - i - length
+        if t + rows - 1 < 0:
+            break  # shape[k] - k falls with k, so no lower row fits either
+        j = i + 1
+        while j < rows and shape[j] - j > t:
+            j += 1
+        if j < rows and shape[j] - j == t:
+            continue
+        moved = tuple(part - 1 for part in shape[i + 1 : j])
+        reduced = shape[:i] + moved + (t + j - 1,) + shape[j:]
+        while reduced and not reduced[-1]:
+            reduced = reduced[:-1]
+        yield reduced, j - i - 1
 
 
 @lru_cache(maxsize=None)
@@ -98,14 +99,21 @@ class CharTable:
         return f"CharTable(n={self.n}, {len(self.partitions)}x{len(self.partitions)})"
 
 
+@lru_cache(maxsize=None)
+def _row(shape: Partition) -> tuple[int, ...]:
+    """chi_shape on every class of S_n, in the order of partitions_of(n)."""
+    return tuple(_character(shape, rho) for rho in partitions_of(sum(shape)))
+
+
 def _compute_table(n: int) -> CharTable:
     parts = partitions_of(n)
-    values = [[_character(lam, mu) for mu in parts] for lam in parts]
-    return CharTable(n, parts, values)
+    return CharTable(n, parts, [_row(lam) for lam in parts])
 
 
 def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
     """Full character table of S_n, memoized in memory."""
+    require_int("n", n)
+    require_int("max_n", max_n)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_n:
@@ -119,6 +127,7 @@ def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
 
 
 def clear_caches() -> None:
-    """Drop all in-memory character state (tables and recursion memo)."""
+    """Drop all in-memory character state (tables, rows and recursion memo)."""
     _tables.clear()
+    _row.cache_clear()
     _character.cache_clear()

@@ -1,17 +1,30 @@
 """Kronecker (inner) products of symmetric-group irreducibles.
 
 Multiplicities come from the class-sum form of character orthogonality,
-accumulated exactly over integer class sizes so that a wrong character value
-surfaces as a loud non-integrality failure instead of a silently wrong count.
+g(lam, mu, nu) = (1/n!) sum_rho |C_rho| chi_lam(rho) chi_mu(rho) chi_nu(rho).
+The weights |C_rho| chi_lam chi_mu are built once per (lam, mu) from the
+memoized character rows, and each coefficient is their dot product with the
+row of nu, accumulated exactly over integers.  Every coefficient then passes
+one divmod by n!, so a wrong character value surfaces as a loud
+non-integrality (or negativity) failure instead of a silently wrong count.
+Expansions and pair weights reuse one weight vector for all their nu and do
+not fill the coefficient memo behind kronecker_coefficient.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import mul
 
-from .characters import _character
+from .characters import _row
 from .errors import ConsistencyError, WeightMismatchError
-from .partitions import Partition, as_partition, class_sizes, partitions_of
+from .partitions import (
+    Partition,
+    as_partition,
+    class_sizes,
+    partitions_of,
+    require_int,
+)
 
 
 @dataclass(frozen=True)
@@ -39,21 +52,31 @@ def _check_weights(*parts: Partition) -> int:
     return n
 
 
-@lru_cache(maxsize=None)
-def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
-    n = sum(lam)
-    order = factorial(n)
-    total = 0
-    for rho, size in class_sizes(n):
-        prod = _character(lam, rho) * _character(mu, rho) * _character(nu, rho)
-        if prod:
-            total += prod * size
+def _weights(lam: Partition, mu: Partition) -> list[int]:
+    """|C_rho| * chi_lam(rho) * chi_mu(rho) over the classes of S_n."""
+    return [
+        size * a * b
+        for (_, size), a, b in zip(class_sizes(sum(lam)), _row(lam), _row(mu))
+    ]
+
+
+def _coefficient(
+    weights: list[int], lam: Partition, mu: Partition, nu: Partition
+) -> int:
+    """g(lam, mu, nu) from the weights of (lam, mu): one exact division by n!."""
+    total = sum(map(mul, weights, _row(nu)))
+    order = factorial(sum(nu))
     quotient, remainder = divmod(total, order)
     if remainder or quotient < 0:
         raise ConsistencyError(
             f"class sum for g{lam, mu, nu} is {total}/{order}, not a nonnegative integer"
         )
     return quotient
+
+
+@lru_cache(maxsize=None)
+def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
+    return _coefficient(_weights(lam, mu), lam, mu, nu)
 
 
 def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -67,9 +90,10 @@ def inner_product_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full decomposition of the Kronecker product lam * mu."""
     lam, mu = as_partition(lam), as_partition(mu)
     n = _check_weights(lam, mu)
+    weights = _weights(lam, mu)
     terms = {}
     for nu in partitions_of(n):
-        g = _kron(lam, mu, nu)
+        g = _coefficient(weights, lam, mu, nu)
         if g:
             terms[nu] = g
     return SchurExpansion(n, terms)
@@ -84,13 +108,15 @@ def pair_weight(lam: Partition, mu: Partition, part_bound: int) -> int:
     """
     lam, mu = as_partition(lam), as_partition(mu)
     n = _check_weights(lam, mu)
+    require_int("part_bound", part_bound)
     if part_bound < 1:
         raise ValueError(f"part_bound must be positive, got {part_bound}")
+    left_weights, right_weights = _weights(lam, lam), _weights(mu, mu)
     total = 0
     for sigma in partitions_of(n, part_bound):
-        left = _kron(lam, lam, sigma)
+        left = _coefficient(left_weights, lam, lam, sigma)
         if left:
-            total += left * _kron(mu, mu, sigma)
+            total += left * _coefficient(right_weights, mu, mu, sigma)
     return total
 
 

@@ -202,6 +202,7 @@ def _a_coordinate_terms(problem: CensusProblem, packed: dict, off: int) -> dict:
 
 def power_sum(problem: CensusProblem, m: int) -> LaurentPoly:
     """Trace of the m-th power of the adjoint torus element on the rho-space."""
+    _require_degree("power sum index", m)
     if m < 1:
         raise ValueError(f"power sum index must be positive, got {m}")
     terms = {}
@@ -213,6 +214,7 @@ def power_sum(problem: CensusProblem, m: int) -> LaurentPoly:
 
 def complete_homogeneous(problem: CensusProblem, n: int) -> LaurentPoly:
     """h_n of the adjoint eigenvalue multiset, zero weights included."""
+    _require_degree("degree", n)
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     levels, zeros, off = _complete_homogeneous_levels(problem, n)

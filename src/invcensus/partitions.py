@@ -14,6 +14,12 @@ from .errors import ConsistencyError, PartitionParseError
 Partition = tuple[int, ...]
 
 
+def require_int(name: str, value) -> None:
+    """Raise ValueError unless value is a plain int (bool and float are refused)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_partition(parts) -> Partition:
     """Validate an iterable of parts and return it as a canonical tuple."""
     p = tuple(parts)
@@ -57,6 +63,9 @@ def partitions_of(n: int, max_parts: int | None = None) -> tuple[Partition, ...]
 
     With max_parts, only partitions with at most that many parts are listed.
     """
+    require_int("n", n)
+    if max_parts is not None:
+        require_int("max_parts", max_parts)
     if n < 0:
         raise ValueError(f"cannot partition a negative integer: {n}")
     if max_parts is not None and max_parts < 0:

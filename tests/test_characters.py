@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from invcensus.characters import CharTable, char_table, character
+from invcensus.characters import CharTable, _row, _strip_removals, char_table, character
 from invcensus.errors import ResourceLimitError, WeightMismatchError
 from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
@@ -155,3 +155,48 @@ def test_resource_limit():
         char_table(17)
     with pytest.raises(ResourceLimitError, match="too large"):
         char_table(5, max_n=4)
+
+
+@pytest.mark.parametrize(
+    "args", [(True,), (3.0,), ("3",), (None,), (5, 4.5), (5, True), (5, None)]
+)
+def test_table_rejects_non_integer_input(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        char_table(*args)
+
+
+# ---------------------------------------------------------------------------
+# Oracle 3: strip removal as a bead move on the beta-set of the shape.  With
+# one bead at shape[k] + (rows - 1 - k) for each row k, removing an r-strip
+# moves a bead from b to a free slot b - r >= 0; the height is the number of
+# beads jumped.
+
+
+def bead_strip_removals(shape, r):
+    rows = len(shape)
+    beads = {part + rows - 1 - k for k, part in enumerate(shape)}
+    out = []
+    for b in beads:
+        if b - r < 0 or b - r in beads:
+            continue
+        moved = sorted(beads - {b} | {b - r}, reverse=True)
+        reduced = tuple(x - (rows - 1 - k) for k, x in enumerate(moved))
+        reduced = tuple(part for part in reduced if part)
+        out.append((reduced, sum(1 for x in beads if b - r < x < b)))
+    return out
+
+
+def test_strip_removals_match_bead_moves_up_to_n12():
+    for n in range(1, 13):
+        for shape in partitions_of(n):
+            for r in range(1, n + 1):
+                got = sorted(_strip_removals(shape, r))
+                assert got == sorted(bead_strip_removals(shape, r)), (shape, r)
+
+
+def test_rows_match_point_queries_and_tables_up_to_n10():
+    for n in range(11):
+        table = char_table(n)
+        for lam, table_row in zip(table.partitions, table.values):
+            expected = tuple(character(lam, rho) for rho in partitions_of(n))
+            assert _row(lam) == expected == table_row

@@ -1,15 +1,19 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
-from invcensus.errors import WeightMismatchError
+import invcensus
+from invcensus import kronecker
+from invcensus.characters import _row, character
+from invcensus.errors import ConsistencyError, WeightMismatchError
 from invcensus.kronecker import (
     SchurExpansion,
     inner_product_expansion,
     kronecker_coefficient,
     pair_weight,
 )
-from invcensus.partitions import conjugate, dimension, partitions_of
+from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
 # Degree-8 golden expansions, term for term.
 SQUARE_62 = {
@@ -195,3 +199,69 @@ def test_part_bound_must_be_positive():
 def test_empty_weight_zero_product():
     exp = inner_product_expansion((), ())
     assert exp == SchurExpansion(0, {(): 1})
+
+
+@pytest.mark.parametrize("bound", [True, False, 2.0, "2", None])
+def test_part_bound_must_be_an_integer(bound):
+    with pytest.raises(ValueError, match="must be an integer"):
+        pair_weight((2, 1), (2, 1), bound)
+
+
+def test_expansion_matches_class_sum_up_to_n7():
+    # g(lam, mu, nu) = (1/n!) sum_rho (n!/z_rho) chi_lam chi_mu chi_nu, written
+    # from point queries and centralizer orders alone
+    for n in range(8):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                expected = {}
+                for nu in parts:
+                    total = sum(
+                        factorial(n)
+                        // z_order(rho)
+                        * character(lam, rho)
+                        * character(mu, rho)
+                        * character(nu, rho)
+                        for rho in parts
+                    )
+                    g, remainder = divmod(total, factorial(n))
+                    assert remainder == 0
+                    if g:
+                        expected[nu] = g
+                assert inner_product_expansion(lam, mu).terms == expected, (lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# Exactness: corrupt the character rows the coefficients are built from and
+# check that every entry point raises instead of returning a number.
+
+
+def _identity_only_row(shape):
+    # nonzero on the identity class only: each class sum is 1, not divisible by 3!
+    return (0,) * (len(partitions_of(sum(shape))) - 1) + (1,)
+
+
+def _negated_row(shape):
+    # flips the sign of every class sum, so a positive coefficient turns negative
+    return tuple(-value for value in _row(shape))
+
+
+@pytest.fixture
+def cold_caches():
+    invcensus.clear_caches()
+    yield
+    invcensus.clear_caches()
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [(_identity_only_row, "1/6"), (_negated_row, "-6/6")],
+)
+def test_corrupted_rows_raise(monkeypatch, cold_caches, corrupt, message):
+    monkeypatch.setattr(kronecker, "_row", corrupt)
+    with pytest.raises(ConsistencyError, match=message):
+        kronecker_coefficient((2, 1), (2, 1), (3,))
+    with pytest.raises(ConsistencyError, match=message):
+        inner_product_expansion((2, 1), (2, 1))
+    with pytest.raises(ConsistencyError, match=message):
+        pair_weight((2, 1), (2, 1), 3)

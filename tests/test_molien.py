@@ -49,6 +49,12 @@ def test_power_sum_rejects_nonpositive_index():
         power_sum(CensusProblem(2, 2), 0)
 
 
+@pytest.mark.parametrize("m", [True, 2.0, "2", None])
+def test_power_sum_rejects_non_integer_index(m):
+    with pytest.raises(ValueError, match="must be an integer"):
+        power_sum(CensusProblem(2, 1), m)
+
+
 def test_complete_homogeneous_degree_zero():
     assert complete_homogeneous(CensusProblem(2, 2), 0) == LaurentPoly.constant(4, 1)
 
@@ -93,6 +99,12 @@ def test_complete_homogeneous_counts_multisets(problem):
 def test_complete_homogeneous_rejects_negative_degree():
     with pytest.raises(ValueError, match="nonnegative"):
         complete_homogeneous(CensusProblem(2, 2), -1)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, "2", None])
+def test_complete_homogeneous_rejects_non_integer_degree(n):
+    with pytest.raises(ValueError, match="must be an integer"):
+        complete_homogeneous(CensusProblem(2, 1), n)
 
 
 @pytest.mark.parametrize(

@@ -149,3 +149,11 @@ def test_enumeration_rejects_negative_input():
         partitions_of(-1)
     with pytest.raises(ValueError):
         partitions_of(3, -2)
+
+
+@pytest.mark.parametrize(
+    "args", [(True,), (2.0,), ("3",), (None,), (4, 2.0), (4, True), (4, False)]
+)
+def test_enumeration_rejects_non_integer_input(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        partitions_of(*args)
