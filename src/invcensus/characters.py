@@ -85,7 +85,13 @@ class CharTable:
         self._index = {p: i for i, p in enumerate(partitions)}
 
     def value(self, irrep: Partition, cycle_type: Partition) -> int:
-        return self.values[self._index[tuple(irrep)]][self._index[tuple(cycle_type)]]
+        irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
+        for p in (irrep, cycle_type):
+            if sum(p) != self.n:
+                raise WeightMismatchError(
+                    f"weights differ: {p} partitions {sum(p)}, the table is of S_{self.n}"
+                )
+        return self.values[self._index[irrep]][self._index[cycle_type]]
 
     def __eq__(self, other):
         return (

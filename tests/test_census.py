@@ -1,10 +1,11 @@
 import importlib
 import pkgutil
+from math import factorial
 
 import pytest
 
 import invcensus
-from invcensus import census, characters, kronecker
+from invcensus import census, characters, kronecker, partitions
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
 from invcensus.factorizer import RationalForm, expand
@@ -144,10 +145,55 @@ def test_one_by_n_closed_form(n2):
 
 
 def test_inexact_class_sum_raises(monkeypatch):
-    # only the identity class contributes: 1 * 2 * 2 = 4 is not divisible by 3!
-    monkeypatch.setattr(census, "_character", lambda shape, rho: int(rho == (1, 1, 1)))
+    # flip the sign of the box added to (2) in its second row, so that
+    # chi_(2,1)(1,1,1) = chi_(1,1)(1,1) - chi_(2)(1,1) = 0; the 3x3 class sum at
+    # degree 3 becomes 1*2*2 + 3*2*2 + 2*3*3 = 34, which is not divisible by 3!
+    real = census._strip_additions
+    flipped_move = (census._beads((2,), 3), census._beads((2, 1), 3))
+
+    def flipped(beads, length):
+        for grown, sign in real(beads, length):
+            yield grown, -sign if (beads, grown) == flipped_move else sign
+
+    monkeypatch.setattr(census, "_strip_additions", flipped)
+    with pytest.raises(ConsistencyError, match="F_3 of 3x3 is 34/6, not an integer"):
+        invariant_count(CensusProblem(3, 3), 3)
     with pytest.raises(ConsistencyError, match="not an integer"):
-        invariant_count(CensusProblem(2, 2), 3)
+        generating_series(CensusProblem(3, 3), 5)
+    monkeypatch.undo()
+    # no memo keeps the wrong values
+    assert invariant_count(CensusProblem(3, 3), 3) == 11
+
+
+def class_sum(problem, n):
+    """The 0.7.0 census: one class sum per degree from point character queries."""
+    total = 0
+    for rho, size in partitions.class_sizes(n):
+        phi1 = sum(characters.character(k, rho) ** 2 for k in partitions_of(n, problem.n1))
+        phi2 = sum(characters.character(k, rho) ** 2 for k in partitions_of(n, problem.n2))
+        total += size * phi1 * phi2
+    quotient, remainder = divmod(total, factorial(n))
+    assert remainder == 0
+    return quotient
+
+
+@pytest.mark.parametrize("n1", [1, 2, 3, 4])
+@pytest.mark.parametrize("n2", [1, 2, 3, 4])
+def test_strip_adding_pass_equals_class_sum(n1, n2):
+    problem = CensusProblem(n1, n2)
+    max_degree = 16 if (n1, n2) == (2, 2) else 10
+    expected = Series(class_sum(problem, n) for n in range(max_degree + 1))
+    assert generating_series(problem, max_degree, max_degree) == expected
+
+
+def test_census_fills_no_character_memo():
+    invcensus.clear_caches()
+    series = generating_series(CensusProblem(3, 3), 16, 16)
+    assert series[16] == 260034659
+    assert characters._character.cache_info().currsize == 0
+    assert characters._row.cache_info().currsize == 0
+    assert partitions.class_sizes.cache_info().currsize == 0
+    assert characters._tables == {}
 
 
 def test_clear_caches_empties_every_memo():

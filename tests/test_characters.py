@@ -121,6 +121,12 @@ def test_table_n0_and_n3():
     assert t3.value((2, 1), (1, 1, 1)) == 2
 
 
+@pytest.mark.parametrize("irrep, cycle_type", [((2, 2), (3,)), ((2, 1), (1, 1)), ((), (1,))])
+def test_table_value_rejects_wrong_weight(irrep, cycle_type):
+    with pytest.raises(WeightMismatchError, match="weights differ"):
+        char_table(3).value(irrep, cycle_type)
+
+
 def orthogonality_checks(n):
     table = char_table(n)
     parts = table.partitions
