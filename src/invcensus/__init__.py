@@ -33,13 +33,7 @@ from .kronecker import (
     pair_weight,
 )
 from .laurent import LaurentPoly
-from .molien import (
-    complete_homogeneous,
-    haar_constant_term,
-    molien_coefficient,
-    molien_series,
-    power_sum,
-)
+from .molien import molien_coefficient, molien_series
 from .partitions import (
     Partition,
     conjugate,
@@ -51,7 +45,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 
 def clear_caches() -> None:
@@ -83,14 +77,12 @@ __all__ = [
     "character",
     "clear_caches",
     "compare",
-    "complete_homogeneous",
     "conjugate",
     "dimension",
     "expand",
     "fit_denominator",
     "format_partition",
     "generating_series",
-    "haar_constant_term",
     "inner_product_expansion",
     "invariant_count",
     "kronecker_coefficient",
@@ -100,7 +92,6 @@ __all__ = [
     "pair_weight",
     "parse_partition",
     "partitions_of",
-    "power_sum",
     "read_series_file",
     "search_candidates",
     "series_from_json",

@@ -16,7 +16,7 @@ from . import __version__
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
 from .characters import char_table, character
 from .errors import ConsistencyError, InvcensusError
-from .factorizer import search_candidates
+from .factorizer import compare, search_candidates
 from .kronecker import inner_product_expansion
 from .molien import molien_series
 from .partitions import format_partition, parse_partition
@@ -133,13 +133,12 @@ def _cmd_molien(args):
     text = _format_polynomial(series)
     if args.check:
         recount = generating_series(problem, args.max_degree, args.degree_limit)
-        if series != recount:
-            for n in range(args.max_degree + 1):
-                if series[n] != recount[n]:
-                    raise ConsistencyError(
-                        f"census disagreement at degree {n}: "
-                        f"oracle {series[n]}, census {recount[n]}"
-                    )
+        mismatch = compare(series, recount)
+        if mismatch is not None:
+            n, oracle, census = mismatch
+            raise ConsistencyError(
+                f"census disagreement at degree {n}: oracle {oracle}, census {census}"
+            )
         result["census_agreement"] = "OK"
         text += "\ncensus agreement: OK"
     return result, text

@@ -16,64 +16,28 @@ N1·N2 zero weights contribute only the scalar 1/(1 - t)^(N1·N2): one pass
 over prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
 division, each level is Haar-averaged to g_n, and
 F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
-
-The public views `power_sum`, `complete_homogeneous` and
-`haar_constant_term` unpack to `LaurentPoly` in the a-coordinates x_i.
 """
 
-from itertools import accumulate, permutations
 from math import comb, factorial
-from operator import add, sub
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
 from .errors import ConsistencyError, ResourceLimitError
-from .laurent import LaurentPoly
 from .series import Series
 
 
-def _nvars(problem: CensusProblem) -> int:
-    return problem.n1 + problem.n2
-
-
-def _ratio(nvars: int, i: int, j: int) -> tuple:
-    """Exponents of x_i / x_j; indices are absolute variable slots."""
-    exponents = [0] * nvars
-    exponents[i] += 1
-    exponents[j] -= 1
-    return tuple(exponents)
+def _block_roots(size: int) -> list:
+    """Root coordinates of x_i/x_j for all i, j < size, i == j included:
+    +1 on z_k for i <= k < j and -1 for j <= k < i."""
+    return [
+        tuple((i <= k < j) - (j <= k < i) for k in range(size - 1))
+        for i in range(size)
+        for j in range(size)
+    ]
 
 
 def _weights(problem: CensusProblem) -> list:
-    """The N1^2 * N2^2 adjoint torus weights, repeats included."""
-    nvars, n1, n2 = _nvars(problem), problem.n1, problem.n2
-    a_part = [_ratio(nvars, i, j) for i in range(n1) for j in range(n1)]
-    b_part = [_ratio(nvars, n1 + k, n1 + l) for k in range(n2) for l in range(n2)]
-    return [tuple(map(add, a, b)) for a in a_part for b in b_part]
-
-
-def _root_coordinates(problem: CensusProblem, e: tuple) -> tuple:
-    """z-exponents of x^e: the running sums of each block's exponents.
-
-    Only a vector whose block sums vanish is a monomial in the z_i.
-    """
-    coords, start = [], 0
-    for size in (problem.n1, problem.n2):
-        *running, total = accumulate(e[start : start + size])
-        if total:
-            raise ConsistencyError(f"weight {e} has a nonzero block sum")
-        coords += running
-        start += size
-    return tuple(coords)
-
-
-def _a_coordinates(problem: CensusProblem, coords: tuple) -> tuple:
-    """Inverse of _root_coordinates: successive differences within each block."""
-    e, start = [], 0
-    for size in (problem.n1, problem.n2):
-        block = list(coords[start : start + size - 1])
-        e += map(sub, block + [0], [0] + block)
-        start += size - 1
-    return tuple(e)
+    """Root coordinates of the N1^2 * N2^2 adjoint torus weights, repeats included."""
+    return [a + b for a in _block_roots(problem.n1) for b in _block_roots(problem.n2)]
 
 
 def _offset(problem: CensusProblem, max_degree: int) -> int:
@@ -87,11 +51,6 @@ def _packed(coords, base: int) -> int:
     return sum(c * base**i for i, c in enumerate(coords))
 
 
-def _unpacked(key: int, off: int, ndigits: int) -> tuple:
-    base = 2 * off + 1
-    return tuple(key // base**i % base - off for i in range(ndigits))
-
-
 def _ndigits(problem: CensusProblem) -> int:
     return problem.n1 + problem.n2 - 2
 
@@ -103,10 +62,9 @@ def _weight_steps(problem: CensusProblem, base: int) -> tuple:
     vectors share a key, so it is rejected before anything is packed.
     """
     steps, zeros = [], 0
-    for w in _weights(problem):
-        coords = _root_coordinates(problem, w)
+    for coords in _weights(problem):
         if any(abs(c) > 1 for c in coords):
-            raise ConsistencyError(f"weight {w} has a root coordinate past the bound 1")
+            raise ConsistencyError(f"weight {coords} has a root coordinate past the bound 1")
         step = _packed(coords, base)
         if step:
             steps.append(step)
@@ -163,15 +121,16 @@ def _weyl_factor(problem: CensusProblem, off: int) -> dict:
     Every partial product has root coordinates within floor(N^2/4) <= off,
     so no digit carries.
     """
-    nvars, n1, base = _nvars(problem), problem.n1, 2 * off + 1
+    n1, n2, base = problem.n1, problem.n2, 2 * off + 1
+    roots = [r + (0,) * (n2 - 1) for r in _block_roots(n1) if any(r)]
+    roots += [(0,) * (n1 - 1) + r for r in _block_roots(n2) if any(r)]
     product = {_packed([off] * _ndigits(problem), base): 1}
-    for offset, size in ((0, n1), (n1, problem.n2)):
-        for i, j in permutations(range(offset, offset + size), 2):
-            step = _packed(_root_coordinates(problem, _ratio(nvars, i, j)), base)
-            out = dict(product)
-            for e, c in product.items():
-                out[e + step] = out.get(e + step, 0) - c
-            product = out
+    for root in roots:
+        step = _packed(root, base)
+        out = dict(product)
+        for e, c in product.items():
+            out[e + step] = out.get(e + step, 0) - c
+        product = out
     return {e: c for e, c in product.items() if c}
 
 
@@ -191,55 +150,6 @@ def _haar_average(terms: dict, weyl: dict, problem: CensusProblem) -> int:
             f"normalization {order}"
         )
     return quotient
-
-
-def _a_coordinate_terms(problem: CensusProblem, packed: dict, off: int) -> dict:
-    ndigits = _ndigits(problem)
-    return {
-        _a_coordinates(problem, _unpacked(key, off, ndigits)): c for key, c in packed.items()
-    }
-
-
-def power_sum(problem: CensusProblem, m: int) -> LaurentPoly:
-    """Trace of the m-th power of the adjoint torus element on the rho-space."""
-    _require_degree("power sum index", m)
-    if m < 1:
-        raise ValueError(f"power sum index must be positive, got {m}")
-    terms = {}
-    for w in _weights(problem):
-        key = tuple(m * x for x in w)
-        terms[key] = terms.get(key, 0) + 1
-    return LaurentPoly(_nvars(problem), terms)
-
-
-def complete_homogeneous(problem: CensusProblem, n: int) -> LaurentPoly:
-    """h_n of the adjoint eigenvalue multiset, zero weights included."""
-    _require_degree("degree", n)
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
-    levels, zeros, off = _complete_homogeneous_levels(problem, n)
-    terms = {}
-    for k, scalar in enumerate(_zero_weight_scalar(zeros, n)):
-        for key, c in levels[n - k].items():
-            terms[key] = terms.get(key, 0) + scalar * c
-    return LaurentPoly(_nvars(problem), _a_coordinate_terms(problem, terms, off))
-
-
-def haar_constant_term(f: LaurentPoly, problem: CensusProblem) -> int:
-    """Haar average of a torus class function, as an exact integer.
-
-    Negative results are returned verbatim: a genuine character always
-    averages to a nonnegative multiplicity, so a negative value diagnoses a
-    bad input rather than an arithmetic fault.
-    """
-    nvars = _nvars(problem)
-    if f.nvars != nvars:
-        raise ValueError(
-            f"polynomial has {f.nvars} variables, problem needs {nvars}"
-        )
-    off = _offset(problem, 0)
-    weyl = _a_coordinate_terms(problem, _weyl_factor(problem, off), off)
-    return _haar_average(f.terms, weyl, problem)
 
 
 def molien_coefficient(
