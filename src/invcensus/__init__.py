@@ -45,11 +45,11 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo: character tables, rows and values, Kronecker coefficients,
+    """Empty every memo: character tables and values, Kronecker coefficients,
     partitions and class sizes.  The next computation starts cold."""
     characters.clear_caches()
     kronecker.clear_caches()

@@ -1,66 +1,109 @@
-"""Irreducible characters of the symmetric group via border-strip recursion.
+"""Irreducible characters of the symmetric group: one Murnaghan-Nakayama kernel.
 
-The Murnaghan-Nakayama recursion removes strips of the largest remaining
-cycle length first, working on shifted beta-numbers, and is memoized on
-(shape, remaining cycle type), so a full table for one n shares almost all of
-its work.  Each row of values chi_shape over the classes of S_n is memoized
-as a tuple too; the character tables and the Kronecker layer share these rows.
+A shape with at most K rows is its K-bead beta-set, largest bead first, and
+adding a border strip of length r moves a bead from b to a free b + r, with
+sign (-1)^(beads jumped).  The walk appends the parts of each cycle type rho
+in nondecreasing order, depth-first, carrying chi(rho) over a family of shapes
+of each size: the census keeps those with at most max(N1, N2) rows, a table
+all of them, and a row past the table cap those inside its shape.  A point
+value adds the strips of rho to the empty shape inside lambda, memoized.
 """
 
 from functools import lru_cache
+from operator import le
 
 from .errors import ResourceLimitError, WeightMismatchError
 from .partitions import Partition, as_partition, partitions_of, require_int
 
-# Hard safety cap: tables grow like p(n)^2 and the recursion behind them much
-# faster; anything past this needs an explicit override.
+# Hard safety cap: tables grow like p(n)^2; past it needs an explicit override.
 DEFAULT_MAX_TABLE_N = 16
 
 _tables: dict[int, "CharTable"] = {}
 
 
-def _strip_removals(shape: Partition, length: int):
-    """Yield (reduced shape, height) for each removable border strip.
+def _beads(shape: tuple[int, ...], rows: int) -> tuple[int, ...]:
+    """The rows-bead beta-set of a shape with at most `rows` rows, largest first."""
+    padded = shape + (0,) * (rows - len(shape))
+    return tuple(part + rows - 1 - i for i, part in enumerate(padded))
 
-    In shifted beta-numbers shape[k] - k, removing a strip that starts in row
-    i moves that row's bead down by `length` to t = shape[i] - i - length.
-    The move is legal when t + len(shape) - 1 >= 0 and no row holds t; the
-    rows i+1..j-1 whose beads lie between move up one row (losing a cell
-    each), and the height is the number of beads jumped.  Strips come out in
-    order of their starting (topmost) row.
+
+def _strip_additions(beads: tuple[int, ...], length: int):
+    """Yield (grown beads, sign) for each border strip of `length` added to a shape.
+
+    The strip moves bead b to a free b + length; its height is the beads jumped.
     """
-    rows = len(shape)
-    for i in range(rows):
-        t = shape[i] - i - length
-        if t + rows - 1 < 0:
-            break  # shape[k] - k falls with k, so no lower row fits either
-        j = i + 1
-        while j < rows and shape[j] - j > t:
-            j += 1
-        if j < rows and shape[j] - j == t:
+    for i, bead in enumerate(beads):
+        target = bead + length
+        j = i
+        while j and beads[j - 1] < target:
+            j -= 1
+        if j and beads[j - 1] == target:
             continue
-        moved = tuple(part - 1 for part in shape[i + 1 : j])
-        reduced = shape[:i] + moved + (t + j - 1,) + shape[j:]
-        while reduced and not reduced[-1]:
-            reduced = reduced[:-1]
-        yield reduced, j - i - 1
+        grown = beads[:j] + (target,) + beads[j:i] + beads[i + 1 :]
+        yield grown, -1 if (i - j) % 2 else 1
+
+
+def _walk(shapes: list[list[tuple[int, ...]]], visit) -> None:
+    """Call visit(m, z, chars) once for each cycle type rho of each m < len(shapes).
+
+    chars[i] is chi(rho) of shapes[m][i], the kept bead tuples of size m, and z
+    is rho's centralizer order.  A strip leaving the kept shapes is dropped,
+    exact when they are closed under strip removal.  Parts are appended in
+    nondecreasing order, so S_m's classes come in lexicographic order of rho[::-1].
+    """
+    top = len(shapes) - 1
+    # (source, target) index pairs of the +1 and -1 strip moves, by (size, length)
+    moves = {}
+    for m, sources in enumerate(shapes):
+        for length in range(1, top - m + 1):
+            index = {beads: i for i, beads in enumerate(shapes[m + length])}
+            plus, minus = moves[m, length] = [], []
+            for source, beads in enumerate(sources):
+                for grown, sign in _strip_additions(beads, length):
+                    if grown in index:
+                        (plus if sign > 0 else minus).append((source, index[grown]))
+
+    def grow(m: int, chars: list[int], last: int, repeats: int, z: int) -> None:
+        visit(m, z, chars)
+        for length in range(last, top - m + 1):
+            plus, minus = moves[m, length]
+            grown = [0] * len(shapes[m + length])
+            for source, target in plus:
+                grown[target] += chars[source]
+            for source, target in minus:
+                grown[target] -= chars[source]
+            count = repeats + 1 if length == last else 1
+            grow(m + length, grown, length, count, z * length * count)
+
+    grow(0, [1], 1, 0, 1)  # the empty class: parts start at 1, none repeated yet
+
+
+def _columns(shapes: list[list[tuple[int, ...]]]) -> list[list[int]]:
+    """The walk's columns at the top size, in the order of partitions_of(top)."""
+    top = len(shapes) - 1
+    found = []
+    _walk(shapes, lambda m, z, chars: m == top and found.append(chars))
+    by_class = dict(zip(sorted(partitions_of(top), key=lambda rho: rho[::-1]), found))
+    return [by_class[rho] for rho in partitions_of(top)]
 
 
 @lru_cache(maxsize=None)
 def _character(shape: Partition, cycles: Partition) -> int:
-    if not cycles:
-        return 1 if not shape else 0
-    total = 0
-    for reduced, height in _strip_removals(shape, cycles[0]):
-        value = _character(reduced, cycles[1:])
-        total += -value if height % 2 else value
-    return total
+    outline = _beads(shape, len(shape))
+    values = {_beads((), len(shape)): 1}
+    for length in cycles:
+        grown_values = {}
+        for beads, value in values.items():
+            for grown, sign in _strip_additions(beads, length):
+                if all(map(le, grown, outline)):
+                    grown_values[grown] = grown_values.get(grown, 0) + sign * value
+        values = grown_values
+    return values.get(outline, 0)
 
 
 def character(irrep: Partition, cycle_type: Partition) -> int:
     """Character of the S_n irreducible `irrep` on the class `cycle_type`."""
-    irrep = as_partition(irrep)
-    cycle_type = as_partition(cycle_type)
+    irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
     if sum(irrep) != sum(cycle_type):
         raise WeightMismatchError(
             f"weights differ: {irrep} partitions {sum(irrep)}, "
@@ -105,15 +148,30 @@ class CharTable:
         return f"CharTable(n={self.n}, {len(self.partitions)}x{len(self.partitions)})"
 
 
-@lru_cache(maxsize=None)
 def _row(shape: Partition) -> tuple[int, ...]:
-    """chi_shape on every class of S_n, in the order of partitions_of(n)."""
-    return tuple(_character(shape, rho) for rho in partitions_of(sum(shape)))
+    """chi_shape on every class of S_n, in the order of partitions_of(n).
+
+    Up to the table cap this is a row of the memoized table.  Past it, the walk
+    keeps only the shapes inside `shape` (adding a strip only grows a shape).
+    """
+    n = sum(shape)
+    if n <= DEFAULT_MAX_TABLE_N:
+        table = _table(n)
+        return table.values[table._index[shape]]
+    outline = _beads(shape, len(shape))
+    shapes = [[_beads((), len(shape))]]
+    for _ in range(n):  # the shapes inside `shape`, grown one box at a time
+        grown = (beads for kept in shapes[-1] for beads, sign in _strip_additions(kept, 1))
+        shapes.append(list(dict.fromkeys(b for b in grown if all(map(le, b, outline)))))
+    return tuple(column[0] for column in _columns(shapes))
 
 
-def _compute_table(n: int) -> CharTable:
-    parts = partitions_of(n)
-    return CharTable(n, parts, [_row(lam) for lam in parts])
+def _table(n: int) -> CharTable:
+    """The memoized table of S_n, from one walk over all shapes."""
+    if n not in _tables:
+        shapes = [[_beads(p, n) for p in partitions_of(m)] for m in range(n + 1)]
+        _tables[n] = CharTable(n, partitions_of(n), zip(*_columns(shapes)))
+    return _tables[n]
 
 
 def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
@@ -123,17 +181,11 @@ def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_n:
-        raise ResourceLimitError(
-            f"character table too large: n={n} exceeds the limit {max_n}"
-        )
-    table = _tables.get(n)
-    if table is None:
-        table = _tables[n] = _compute_table(n)
-    return table
+        raise ResourceLimitError(f"character table too large: n={n} exceeds the limit {max_n}")
+    return _table(n)
 
 
 def clear_caches() -> None:
-    """Drop all in-memory character state (tables, rows and recursion memo)."""
+    """Drop all in-memory character state (tables and point values)."""
     _tables.clear()
-    _row.cache_clear()
     _character.cache_clear()

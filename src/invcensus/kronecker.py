@@ -3,10 +3,11 @@
 Multiplicities come from the class-sum form of character orthogonality,
 g(lam, mu, nu) = (1/n!) sum_rho |C_rho| chi_lam(rho) chi_mu(rho) chi_nu(rho).
 The weights |C_rho| chi_lam chi_mu are built once per (lam, mu) from the
-memoized character rows, and each coefficient is their dot product with the
-row of nu, accumulated exactly over integers.  Every coefficient then passes
-one divmod by n!, so a wrong character value surfaces as a loud
-non-integrality (or negativity) failure instead of a silently wrong count.
+character rows (table rows up to the table cap, contained-shape walks past
+it), and each coefficient is their exact dot product with the row of nu.
+Every coefficient then passes one divmod by n!, so a wrong character value
+surfaces as a loud non-integrality (or negativity) failure instead of a
+silently wrong count.
 Expansions and pair weights reuse one weight vector for all their nu and do
 not fill the coefficient memo behind kronecker_coefficient.
 """

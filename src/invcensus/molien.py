@@ -21,7 +21,7 @@ F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
 from math import comb, factorial
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import ConsistencyError
 from .series import Series
 
 
@@ -156,9 +156,7 @@ def molien_coefficient(
     problem: CensusProblem, n: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
 ) -> int:
     """Number of degree-n invariants, by the constant-term route."""
-    _require_degree("degree", n)
-    if n < 0:
-        raise ValueError(f"degree must be nonnegative, got {n}")
+    _require_degree("degree", n, degree_limit)
     return molien_series(problem, n, degree_limit)[n]
 
 
@@ -166,14 +164,7 @@ def molien_series(
     problem: CensusProblem, max_degree: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
 ) -> Series:
     """Molien series of the problem through max_degree."""
-    _require_degree("max_degree", max_degree)
-    _require_degree("degree_limit", degree_limit)
-    if max_degree < 0:
-        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
-    if max_degree > degree_limit:
-        raise ResourceLimitError(
-            f"degree {max_degree} exceeds the configured limit {degree_limit}"
-        )
+    _require_degree("max_degree", max_degree, degree_limit)
     levels, zeros, off = _complete_homogeneous_levels(problem, max_degree)
     weyl = _weyl_factor(problem, off)
     averages = [_haar_average(level, weyl, problem) for level in levels]

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from invcensus.characters import CharTable, _row, _strip_removals, char_table, character
+from invcensus.characters import CharTable, _beads, _row, _strip_additions, char_table, character
 from invcensus.errors import ResourceLimitError, WeightMismatchError
 from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
@@ -193,11 +193,24 @@ def bead_strip_removals(shape, r):
 
 
 def test_strip_removals_match_bead_moves_up_to_n12():
-    for n in range(1, 13):
-        for shape in partitions_of(n):
+    # adding an r-strip to mu gives lam with height h exactly when removing it
+    # from lam gives mu with height h, so the adding kernel, run on 12 beads,
+    # must produce exactly the inverted removals of the oracle
+    rows = 12
+
+    def shape(beads):
+        return tuple(part for part in (b - (rows - 1 - k) for k, b in enumerate(beads)) if part)
+
+    added, removed = set(), set()
+    for n in range(13):
+        for lam in partitions_of(n):
+            for r in range(1, 13 - n):
+                for grown, sign in _strip_additions(_beads(lam, rows), r):
+                    added.add((lam, shape(grown), sign))
             for r in range(1, n + 1):
-                got = sorted(_strip_removals(shape, r))
-                assert got == sorted(bead_strip_removals(shape, r)), (shape, r)
+                for reduced, height in bead_strip_removals(lam, r):
+                    removed.add((reduced, lam, (-1) ** height))
+    assert added == removed
 
 
 def test_rows_match_point_queries_and_tables_up_to_n10():

@@ -265,3 +265,31 @@ def test_corrupted_rows_raise(monkeypatch, cold_caches, corrupt, message):
         inner_product_expansion((2, 1), (2, 1))
     with pytest.raises(ConsistencyError, match=message):
         pair_weight((2, 1), (2, 1), 3)
+
+
+# ---------------------------------------------------------------------------
+# Past the character-table cap.  chi_(n-1,1) is the number of fixed points
+# minus one, so g(lam, mu, (n-1,1)) counts the shapes nu of n-1 inside both lam
+# and mu, less delta(lam, mu); the trivial irrep gives delta(lam, mu) and the
+# sign irrep delta(mu, lam').  None of this uses characters.
+
+
+def _minus_a_box(shape):
+    return {
+        tuple(part for part in shape[:i] + (shape[i] - 1,) + shape[i + 1 :] if part)
+        for i in range(len(shape))
+        if i + 1 == len(shape) or shape[i] > shape[i + 1]
+    }
+
+
+PAST_THE_CAP = {18: ((7, 6, 5), (7, 6, 4, 1)), 20: ((8, 7, 5), (8, 6, 5, 1))}
+
+
+@pytest.mark.parametrize("n", sorted(PAST_THE_CAP))
+def test_coefficients_past_the_table_cap(n):
+    a, b = PAST_THE_CAP[n]
+    for lam, mu in [(a, a), (a, b), (b, conjugate(b))]:
+        common = len(_minus_a_box(lam) & _minus_a_box(mu))
+        assert kronecker_coefficient(lam, mu, (n - 1, 1)) == common - (lam == mu), (lam, mu)
+        assert kronecker_coefficient(lam, mu, (n,)) == (lam == mu), (lam, mu)
+        assert kronecker_coefficient(lam, mu, (1,) * n) == (mu == conjugate(lam)), (lam, mu)

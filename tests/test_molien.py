@@ -386,3 +386,14 @@ def test_molien_degree_limit():
 def test_non_integer_degrees_rejected(call):
     with pytest.raises(ValueError, match="must be an integer"):
         call(CensusProblem(2, 2))
+
+
+@pytest.mark.parametrize("max_degree, degree_limit", [(5, 3), (0, -1), (-1, 3)])
+def test_both_routes_reject_degrees_alike(max_degree, degree_limit):
+    problem = CensusProblem(2, 2)
+    errors = []
+    for route in (generating_series, molien_series):
+        with pytest.raises((ResourceLimitError, ValueError)) as caught:
+            route(problem, max_degree, degree_limit)
+        errors.append((type(caught.value), str(caught.value)))
+    assert errors[0] == errors[1]
