@@ -56,15 +56,21 @@ def _require_degree(name: str, degree: int, degree_limit: int) -> None:
     if degree < 0:
         raise ValueError(f"{name} must be nonnegative, got {degree}")
     if degree > degree_limit:
-        raise ResourceLimitError(f"degree {degree} exceeds the configured limit {degree_limit}")
+        raise ResourceLimitError(
+            f"degree {degree} exceeds the configured limit {degree_limit}"
+        )
 
 
 def _census(problem: CensusProblem, max_degree: int) -> list[int]:
     """F_0 .. F_max_degree, each one exact division of its class sum by m!."""
-    narrow, rows = sorted((problem.n1, problem.n2))
+    rows = max(problem.n1, problem.n2)
+    narrow = min(problem.n1, problem.n2)
     degrees = range(max_degree + 1)
     # shapes of each size as bead tuples, those with at most `narrow` rows first
-    shapes = [[_beads(p, rows) for p in sorted(partitions_of(m, rows), key=len)] for m in degrees]
+    shapes = [
+        [_beads(p, rows) for p in sorted(partitions_of(m, rows), key=len)]
+        for m in degrees
+    ]
     cuts = [len(partitions_of(m, narrow)) for m in degrees]
     orders = [factorial(m) for m in degrees]
     totals = [0] * len(degrees)

@@ -4,9 +4,10 @@ A shape with at most K rows is its K-bead beta-set, largest bead first, and
 adding a border strip of length r moves a bead from b to a free b + r, with
 sign (-1)^(beads jumped).  The walk appends the parts of each cycle type rho
 in nondecreasing order, depth-first, carrying chi(rho) over a family of shapes
-of each size: the census keeps those with at most max(N1, N2) rows, a table
-all of them, and a row past the table cap those inside its shape.  A point
-value adds the strips of rho to the empty shape inside lambda, memoized.
+of each size: the census keeps those with at most max(N1, N2) rows, and the
+rows of S_n are read off a walk over the shapes inside the irreducibles asked
+for (all of them for a table).  A point value adds the strips of rho to the
+empty shape inside lambda, memoized.
 """
 
 from functools import lru_cache
@@ -78,15 +79,6 @@ def _walk(shapes: list[list[tuple[int, ...]]], visit) -> None:
     grow(0, [1], 1, 0, 1)  # the empty class: parts start at 1, none repeated yet
 
 
-def _columns(shapes: list[list[tuple[int, ...]]]) -> list[list[int]]:
-    """The walk's columns at the top size, in the order of partitions_of(top)."""
-    top = len(shapes) - 1
-    found = []
-    _walk(shapes, lambda m, z, chars: m == top and found.append(chars))
-    by_class = dict(zip(sorted(partitions_of(top), key=lambda rho: rho[::-1]), found))
-    return [by_class[rho] for rho in partitions_of(top)]
-
-
 @lru_cache(maxsize=None)
 def _character(shape: Partition, cycles: Partition) -> int:
     outline = _beads(shape, len(shape))
@@ -103,7 +95,8 @@ def _character(shape: Partition, cycles: Partition) -> int:
 
 def character(irrep: Partition, cycle_type: Partition) -> int:
     """Character of the S_n irreducible `irrep` on the class `cycle_type`."""
-    irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
+    irrep = as_partition(irrep)
+    cycle_type = as_partition(cycle_type)
     if sum(irrep) != sum(cycle_type):
         raise WeightMismatchError(
             f"weights differ: {irrep} partitions {sum(irrep)}, "
@@ -148,29 +141,50 @@ class CharTable:
         return f"CharTable(n={self.n}, {len(self.partitions)}x{len(self.partitions)})"
 
 
-def _row(shape: Partition) -> tuple[int, ...]:
-    """chi_shape on every class of S_n, in the order of partitions_of(n).
+def _walk_rows(irreps) -> dict[Partition, tuple[int, ...]]:
+    """chi of each of `irreps` (all of one size n) on every class of S_n.
 
-    Up to the table cap this is a row of the memoized table.  Past it, the walk
-    keeps only the shapes inside `shape` (adding a strip only grows a shape).
+    One unmemoized walk over the shapes inside one of `irreps`, listed from the
+    top by removing a box at a time (a bead b moves to a free b - 1).  Removing
+    a strip only shrinks a shape, so these shapes are closed under it and the
+    walk is exact.  Each row is in the order of partitions_of(n).
     """
-    n = sum(shape)
-    if n <= DEFAULT_MAX_TABLE_N:
-        table = _table(n)
-        return table.values[table._index[shape]]
-    outline = _beads(shape, len(shape))
-    shapes = [[_beads((), len(shape))]]
-    for _ in range(n):  # the shapes inside `shape`, grown one box at a time
-        grown = (beads for kept in shapes[-1] for beads, sign in _strip_additions(kept, 1))
-        shapes.append(list(dict.fromkeys(b for b in grown if all(map(le, b, outline)))))
-    return tuple(column[0] for column in _columns(shapes))
+    top = list(dict.fromkeys(irreps))
+    n = sum(top[0])
+    rows = max(map(len, top))
+    levels = [[_beads(shape, rows) for shape in top]]
+    for _ in range(n):
+        smaller = (
+            beads[:i] + (bead - 1,) + beads[i + 1 :]
+            for beads in levels[-1]
+            for i, bead in enumerate(beads)
+            if bead and bead - 1 not in beads
+        )
+        levels.append(list(dict.fromkeys(smaller)))
+    found = []
+    _walk(levels[::-1], lambda m, z, chars: m == n and found.append(chars))
+    # the walk reaches the classes of S_n in lexicographic order of rho[::-1]
+    by_class = dict(zip(sorted(partitions_of(n), key=lambda rho: rho[::-1]), found))
+    return dict(zip(top, zip(*(by_class[rho] for rho in partitions_of(n)))))
+
+
+def _rows(irreps) -> dict[Partition, tuple[int, ...]]:
+    """The rows of `irreps` (all of one size n): table rows up to the table cap.
+
+    Past the cap one walk serves all of them, built for this call alone.
+    """
+    n = sum(irreps[0])
+    if n > DEFAULT_MAX_TABLE_N:
+        return _walk_rows(irreps)
+    table = _table(n)
+    return {shape: table.values[table._index[shape]] for shape in irreps}
 
 
 def _table(n: int) -> CharTable:
     """The memoized table of S_n, from one walk over all shapes."""
     if n not in _tables:
-        shapes = [[_beads(p, n) for p in partitions_of(m)] for m in range(n + 1)]
-        _tables[n] = CharTable(n, partitions_of(n), zip(*_columns(shapes)))
+        rows = _walk_rows(partitions_of(n))
+        _tables[n] = CharTable(n, partitions_of(n), rows.values())
     return _tables[n]
 
 
@@ -181,7 +195,9 @@ def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_n:
-        raise ResourceLimitError(f"character table too large: n={n} exceeds the limit {max_n}")
+        raise ResourceLimitError(
+            f"character table too large: n={n} exceeds the limit {max_n}"
+        )
     return _table(n)
 
 

@@ -3,8 +3,9 @@
 Multiplicities come from the class-sum form of character orthogonality,
 g(lam, mu, nu) = (1/n!) sum_rho |C_rho| chi_lam(rho) chi_mu(rho) chi_nu(rho).
 The weights |C_rho| chi_lam chi_mu are built once per (lam, mu) from the
-character rows (table rows up to the table cap, contained-shape walks past
-it), and each coefficient is their exact dot product with the row of nu.
+character rows, and each coefficient is their exact dot product with the row
+of nu.  Each call takes all the rows it needs at once: table rows up to the
+table cap, and past it one walk over the shapes inside those irreducibles.
 Every coefficient then passes one divmod by n!, so a wrong character value
 surfaces as a loud non-integrality (or negativity) failure instead of a
 silently wrong count.
@@ -17,7 +18,7 @@ from functools import lru_cache
 from math import factorial
 from operator import mul
 
-from .characters import _row
+from .characters import _rows
 from .errors import ConsistencyError, WeightMismatchError
 from .partitions import (
     Partition,
@@ -53,19 +54,19 @@ def _check_weights(*parts: Partition) -> int:
     return n
 
 
-def _weights(lam: Partition, mu: Partition) -> list[int]:
+def _weights(rows, lam: Partition, mu: Partition) -> list[int]:
     """|C_rho| * chi_lam(rho) * chi_mu(rho) over the classes of S_n."""
     return [
         size * a * b
-        for (_, size), a, b in zip(class_sizes(sum(lam)), _row(lam), _row(mu))
+        for (_, size), a, b in zip(class_sizes(sum(lam)), rows[lam], rows[mu])
     ]
 
 
 def _coefficient(
-    weights: list[int], lam: Partition, mu: Partition, nu: Partition
+    weights: list[int], rows, lam: Partition, mu: Partition, nu: Partition
 ) -> int:
     """g(lam, mu, nu) from the weights of (lam, mu): one exact division by n!."""
-    total = sum(map(mul, weights, _row(nu)))
+    total = sum(map(mul, weights, rows[nu]))
     order = factorial(sum(nu))
     quotient, remainder = divmod(total, order)
     if remainder or quotient < 0:
@@ -77,7 +78,8 @@ def _coefficient(
 
 @lru_cache(maxsize=None)
 def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
-    return _coefficient(_weights(lam, mu), lam, mu, nu)
+    rows = _rows([lam, mu, nu])
+    return _coefficient(_weights(rows, lam, mu), rows, lam, mu, nu)
 
 
 def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
@@ -91,10 +93,11 @@ def inner_product_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full decomposition of the Kronecker product lam * mu."""
     lam, mu = as_partition(lam), as_partition(mu)
     n = _check_weights(lam, mu)
-    weights = _weights(lam, mu)
+    rows = _rows(partitions_of(n))
+    weights = _weights(rows, lam, mu)
     terms = {}
     for nu in partitions_of(n):
-        g = _coefficient(weights, lam, mu, nu)
+        g = _coefficient(weights, rows, lam, mu, nu)
         if g:
             terms[nu] = g
     return SchurExpansion(n, terms)
@@ -112,12 +115,15 @@ def pair_weight(lam: Partition, mu: Partition, part_bound: int) -> int:
     require_int("part_bound", part_bound)
     if part_bound < 1:
         raise ValueError(f"part_bound must be positive, got {part_bound}")
-    left_weights, right_weights = _weights(lam, lam), _weights(mu, mu)
+    sigmas = partitions_of(n, part_bound)
+    rows = _rows([lam, mu, *sigmas])
+    left_weights = _weights(rows, lam, lam)
+    right_weights = _weights(rows, mu, mu)
     total = 0
-    for sigma in partitions_of(n, part_bound):
-        left = _coefficient(left_weights, lam, lam, sigma)
+    for sigma in sigmas:
+        left = _coefficient(left_weights, rows, lam, lam, sigma)
         if left:
-            total += left * _coefficient(right_weights, mu, mu, sigma)
+            total += left * _coefficient(right_weights, rows, mu, mu, sigma)
     return total
 
 

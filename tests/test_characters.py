@@ -3,7 +3,15 @@ from math import factorial
 
 import pytest
 
-from invcensus.characters import CharTable, _beads, _row, _strip_additions, char_table, character
+from invcensus.characters import (
+    CharTable,
+    _beads,
+    _rows,
+    _strip_additions,
+    _walk_rows,
+    char_table,
+    character,
+)
 from invcensus.errors import ResourceLimitError, WeightMismatchError
 from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
@@ -199,7 +207,8 @@ def test_strip_removals_match_bead_moves_up_to_n12():
     rows = 12
 
     def shape(beads):
-        return tuple(part for part in (b - (rows - 1 - k) for k, b in enumerate(beads)) if part)
+        parts = (b - (rows - 1 - k) for k, b in enumerate(beads))
+        return tuple(part for part in parts if part)
 
     added, removed = set(), set()
     for n in range(13):
@@ -218,4 +227,8 @@ def test_rows_match_point_queries_and_tables_up_to_n10():
         table = char_table(n)
         for lam, table_row in zip(table.partitions, table.values):
             expected = tuple(character(lam, rho) for rho in partitions_of(n))
-            assert _row(lam) == expected == table_row
+            assert _rows([lam]) == {lam: expected}
+            assert table_row == expected
+            # the walk over the shapes inside lam alone, and inside lam and lam'
+            assert _walk_rows([lam]) == {lam: expected}
+            assert _walk_rows([lam, conjugate(lam)])[lam] == expected

@@ -5,7 +5,7 @@ import pytest
 
 import invcensus
 from invcensus import kronecker
-from invcensus.characters import _row, character
+from invcensus.characters import _rows, character
 from invcensus.errors import ConsistencyError, WeightMismatchError
 from invcensus.kronecker import (
     SchurExpansion,
@@ -236,14 +236,14 @@ def test_expansion_matches_class_sum_up_to_n7():
 # check that every entry point raises instead of returning a number.
 
 
-def _identity_only_row(shape):
+def _identity_only_row(irreps):
     # nonzero on the identity class only: each class sum is 1, not divisible by 3!
-    return (0,) * (len(partitions_of(sum(shape))) - 1) + (1,)
+    return {lam: (0,) * (len(partitions_of(sum(lam))) - 1) + (1,) for lam in irreps}
 
 
-def _negated_row(shape):
+def _negated_row(irreps):
     # flips the sign of every class sum, so a positive coefficient turns negative
-    return tuple(-value for value in _row(shape))
+    return {lam: tuple(-value for value in row) for lam, row in _rows(irreps).items()}
 
 
 @pytest.fixture
@@ -258,7 +258,7 @@ def cold_caches():
     [(_identity_only_row, "1/6"), (_negated_row, "-6/6")],
 )
 def test_corrupted_rows_raise(monkeypatch, cold_caches, corrupt, message):
-    monkeypatch.setattr(kronecker, "_row", corrupt)
+    monkeypatch.setattr(kronecker, "_rows", corrupt)
     with pytest.raises(ConsistencyError, match=message):
         kronecker_coefficient((2, 1), (2, 1), (3,))
     with pytest.raises(ConsistencyError, match=message):
@@ -290,6 +290,24 @@ def test_coefficients_past_the_table_cap(n):
     a, b = PAST_THE_CAP[n]
     for lam, mu in [(a, a), (a, b), (b, conjugate(b))]:
         common = len(_minus_a_box(lam) & _minus_a_box(mu))
-        assert kronecker_coefficient(lam, mu, (n - 1, 1)) == common - (lam == mu), (lam, mu)
+        standard = kronecker_coefficient(lam, mu, (n - 1, 1))
+        assert standard == common - (lam == mu), (lam, mu)
         assert kronecker_coefficient(lam, mu, (n,)) == (lam == mu), (lam, mu)
-        assert kronecker_coefficient(lam, mu, (1,) * n) == (mu == conjugate(lam)), (lam, mu)
+        sign = kronecker_coefficient(lam, mu, (1,) * n)
+        assert sign == (mu == conjugate(lam)), (lam, mu)
+
+
+@pytest.mark.parametrize("n", sorted(PAST_THE_CAP))
+def test_expansion_and_pair_weight_past_the_table_cap(n):
+    # the expansion holds the oracle's (n) and (n-1,1) terms and sums to the
+    # hook-length dimensions; the unbounded pair weight is the sum of squares of
+    # that expansion, and with one part it is g(lam,lam,(n)) g(mu,mu,(n)) = 1
+    lam, mu = PAST_THE_CAP[n]
+    terms = inner_product_expansion(lam, mu).terms
+    common = len(_minus_a_box(lam) & _minus_a_box(mu))
+    assert (n,) not in terms
+    assert terms.get((n - 1, 1), 0) == common
+    dimensions = sum(g * dimension(nu) for nu, g in terms.items())
+    assert dimensions == dimension(lam) * dimension(mu)
+    assert pair_weight(lam, mu, n) == sum(g * g for g in terms.values())
+    assert pair_weight(lam, mu, 1) == 1
