@@ -6,11 +6,25 @@ entering linearly.  Given a target series we fit numerators to candidate
 denominators, factor the numerator greedily, and rank the survivors.  The
 search is heuristic by nature: a finite truncation never pins the form down
 uniquely, so the result is a ranked list, not an answer.
+
+The greedy factoring runs on Euler exponents, not on coefficients.  Through
+degree D every integer series with constant term 1 is uniquely
+Prod_{k<=D} (1-x^k)^(-e_k) with integer e_k.  A denominator factor (1-x^b)
+lowers e_b by 1, and (1+x^a) = (1-x^2a)/(1-x^a), so dividing by it lowers e_a
+by 1 and raises e_2a by 1.  The target's exponents are computed once, and each
+candidate's numerator is factored in one pass over k = 1..D.
 """
 
 from dataclasses import dataclass, field
 
+from .errors import ConsistencyError
 from .series import Series
+
+
+def _require_int(name: str, value, least: int) -> None:
+    if type(value) is not int or value < least:  # rejects bool and float alike
+        kind = "nonnegative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +53,7 @@ class RationalForm:
 
 def expand(form: RationalForm, degree: int) -> Series:
     """Exact truncated expansion of the rational form."""
-    if degree < 0:
-        raise ValueError(f"degree must be nonnegative, got {degree}")
+    _require_int("degree", degree, 0)
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for a in form.numerator_degrees:
@@ -54,6 +67,7 @@ def expand(form: RationalForm, degree: int) -> Series:
 
 def numerator_for_denominator(target: Series, denominator_degrees, degree: int) -> Series:
     """Target times Prod(1-x^b), the numerator a denominator choice implies."""
+    _require_int("degree", degree, 0)
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
     if degree > target.degree:
@@ -62,6 +76,7 @@ def numerator_for_denominator(target: Series, denominator_degrees, degree: int) 
         )
     coeffs = list(target.coeffs[: degree + 1])
     for b in denominator_degrees:
+        _require_int("denominator degree", b, 1)
         for i in range(degree, b - 1, -1):
             coeffs[i] -= coeffs[i - b]
     return Series(coeffs)
@@ -75,40 +90,54 @@ def compare(left: Series, right: Series):
     return None
 
 
-def _greedy_factor(
-    coeffs: list[int], max_factor_degree: int
-) -> tuple[tuple[int, ...], int | None]:
-    """Pull (1+x^a) factors off the series in place, lowest degree first.
+def _euler_exponents(coeffs) -> list[int]:
+    """Exponents e_k with c = Prod_{k<=D} (1-x^k)^(-e_k) through degree D; e_0 = 0.
 
-    Stops when the lowest surviving coefficient is negative (no nonnegative
-    polynomial continues the series) or its degree exceeds the cap.  Trailing
-    junk from a truncated target is expected and does not halt extraction.
-    The constant term must be 1.  Returns the extracted degrees and the degree
-    of the lowest nonzero coefficient left above degree 0, or None when
-    nothing is left.
+    The constant term must be 1.  The log-derivative x*c'/c = Sum L_n x^n with
+    L_n = Sum_{k|n} k*e_k gives n*c_n = Sum_{j<n} c_j*L_{n-j}, so each L_n and
+    then each e_n follows by one division, exact for an integer series.
     """
     degree = len(coeffs) - 1
+    logs = [0] * (degree + 1)
+    exponents = [0] * (degree + 1)
+    divisor_sums = [0] * (degree + 1)  # Sum k*e_k over the proper divisors k of n
+    for n in range(1, degree + 1):
+        logs[n] = n * coeffs[n] - sum(coeffs[j] * logs[n - j] for j in range(1, n))
+        e, r = divmod(logs[n] - divisor_sums[n], n)
+        if r:
+            raise ConsistencyError(f"Euler exponent e_{n} is not an integer")
+        exponents[n] = e
+        for m in range(2 * n, degree + 1, n):
+            divisor_sums[m] += n * e
+    return exponents
+
+
+def _greedy_factor(
+    exponents: list[int], max_factor_degree: int
+) -> tuple[tuple[int, ...], int | None, int]:
+    """Pull (1+x^a) factors off Prod(1-x^k)^(-e_k) in place, lowest degree first.
+
+    The lowest nonzero coefficient of a remainder sits at its lowest nonzero
+    exponent e_k and equals it.  Extraction stops there when e_k is negative
+    (no nonnegative polynomial continues the series) or k exceeds the cap;
+    otherwise e_k copies of (1+x^k) come off, each moving one unit of exponent
+    from k to 2k.  Trailing junk from a truncated target is expected and does
+    not halt extraction.  Returns the extracted degrees, the degree of the
+    lowest nonzero coefficient R[lowest] left above degree 0 and its value, or
+    None and 0 when nothing is left.
+    """
+    degree = len(exponents) - 1
     extracted = []
-    lowest = 1
-    while True:
-        # dividing by (1+x^a) keeps the zeros below a, so the scan resumes at a
-        while lowest <= degree and not coeffs[lowest]:
-            lowest += 1
-        if lowest > degree:
-            return tuple(extracted), None
-        if coeffs[lowest] < 0 or lowest > max_factor_degree:
-            return tuple(extracted), lowest
-        # below 2*lowest the divisor only meets the constant term 1
-        coeffs[lowest] -= 1
-        for i in range(2 * lowest, degree + 1):
-            coeffs[i] -= coeffs[i - lowest]
-        extracted.append(lowest)
-
-
-def _require_int(name: str, value, least: int) -> None:
-    if type(value) is not int or value < least:  # rejects bool and float alike
-        kind = "nonnegative" if least == 0 else "positive"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    for k in range(1, degree + 1):
+        e = exponents[k]
+        if not e:
+            continue
+        if e < 0 or k > max_factor_degree:
+            return tuple(extracted), k, e
+        extracted += [k] * e
+        if 2 * k <= degree:
+            exponents[2 * k] += e
+    return tuple(extracted), None, 0
 
 
 @dataclass(frozen=True)
@@ -126,6 +155,7 @@ class FitReport:
 
 def _fit(
     target: Series,
+    target_exponents: list[int],
     denominator_degrees: tuple[int, ...],
     numerator: Series,
     nonnegative_through: int,
@@ -139,13 +169,17 @@ def _fit(
     have constant term 1, so E and T first differ at the lowest m >= 1 with
     R[m] != 0, where E[m] = T[m] - R[m].
     """
-    remainder = list(numerator.coeffs)
-    factors, lowest = _greedy_factor(remainder, max_factor_degree)
+    degree = target.degree
+    exponents = target_exponents.copy()
+    for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
+        if b <= degree:
+            exponents[b] -= 1
+    factors, lowest, residue = _greedy_factor(exponents, max_factor_degree)
     if lowest is None:
         mismatch = None
-        match_degree = target.degree
+        match_degree = degree
     else:
-        mismatch = (lowest, target[lowest] - remainder[lowest], target[lowest])
+        mismatch = (lowest, target[lowest] - residue, target[lowest])
         match_degree = lowest - 1
     return FitReport(
         candidate=RationalForm(factors, denominator_degrees),
@@ -178,6 +212,7 @@ def fit_denominator(
     )
     return _fit(
         target,
+        _euler_exponents(target.coeffs),
         denominator_degrees,
         numerator,
         nonnegative_through,
@@ -225,19 +260,30 @@ def search_candidates(
     anchored = degree >= 1 and target[1] == 1
     # stands for "no negative coefficient": past every degree and every factor
     nonnegative = max(degree, max_factor_degree) + 1
+    target_exponents = _euler_exponents(target.coeffs)
     reports = []
 
     def times_one_minus(coeffs, b):
         # coefficients below b are unchanged, and b never passes the first
         # negative degree of coeffs, so the scan for a negative starts at b
         tail = [c - d for c, d in zip(coeffs[b:], coeffs)]
-        negative = next((b + j for j, c in enumerate(tail) if c < 0), nonnegative)
+        negative = nonnegative
+        if min(tail, default=0) < 0:
+            negative = b + next(j for j, c in enumerate(tail) if c < 0)
         return coeffs[:b] + tail, negative
 
     def descend(prefix, coeffs, first_negative, next_lowest):
         if len(prefix) >= smallest and first_negative == nonnegative:
             reports.append(
-                _fit(target, prefix, Series(coeffs), degree, max_factor_degree, anchored)
+                _fit(
+                    target,
+                    target_exponents,
+                    prefix,
+                    Series(coeffs),
+                    degree,
+                    max_factor_degree,
+                    anchored,
+                )
             )
         if len(prefix) < largest:
             for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):

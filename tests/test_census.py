@@ -144,6 +144,21 @@ def test_one_by_n_closed_form(n2):
     assert generating_series(CensusProblem(1, n2), 10) == closed
 
 
+def test_stable_range_is_the_sum_of_centralizer_orders():
+    # for N1, N2 >= n, Phi_N(rho) = z_rho by column orthogonality, so
+    # F_n = (1/n!) sum_rho (n!/z_rho) z_rho^2 = sum_{rho |- n} z_rho
+    sums_of_z = [1, 1, 4, 11, 43, 161, 901]
+    assert list(generating_series(CensusProblem(6, 6), 6)) == sums_of_z
+
+
+def test_half_stable_range_is_the_partition_count():
+    # with one block of size 1, Phi_1 = 1 and Phi_N(rho) = z_rho for N >= n,
+    # so F_n = (1/n!) sum_rho (n!/z_rho) z_rho = p(n)
+    partition_counts = [1, 1, 2, 3, 5, 7, 11]
+    assert list(generating_series(CensusProblem(6, 1), 6)) == partition_counts
+    assert list(generating_series(CensusProblem(1, 6), 6)) == partition_counts
+
+
 def test_inexact_class_sum_raises(monkeypatch):
     # flip the sign of the box added to (2) in its second row, so that
     # chi_(2,1)(1,1,1) = chi_(1,1)(1,1) - chi_(2)(1,1) = 0; the 3x3 class sum at

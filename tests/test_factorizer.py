@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from invcensus.errors import ConsistencyError
 from invcensus.factorizer import (
     FitReport,
     RationalForm,
+    _euler_exponents,
     compare,
     expand,
     fit_denominator,
@@ -115,6 +118,59 @@ def test_numerator_rejects_bad_inputs():
         numerator_for_denominator(Series([2, 1]), (1,), 1)
     with pytest.raises(ValueError, match="exceeds the target truncation"):
         numerator_for_denominator(Series([1, 1]), (1,), 5)
+
+
+@pytest.mark.parametrize("bad", [[0], [-1], [True], [2.0], [2, 0]])
+def test_numerator_rejects_non_positive_or_non_integer_denominator_degrees(bad):
+    with pytest.raises(ValueError, match="denominator degree must be a positive integer"):
+        numerator_for_denominator(TARGET_F, bad, 5)
+    with pytest.raises(ValueError, match="denominator degree must be a positive integer"):
+        fit_denominator(TARGET_F, bad)
+
+
+@pytest.mark.parametrize("bad", [True, -1, 2.0])
+def test_numerator_and_expand_reject_non_integer_or_negative_degree(bad):
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        numerator_for_denominator(TARGET_F, (1,), bad)
+    with pytest.raises(ValueError, match="degree must be a nonnegative integer"):
+        expand(G_FORM, bad)
+
+
+def _euler_product(exponents, degree):
+    # Prod (1-x^k)^(-e_k) through degree; the exponents of a random series grow
+    # fast, so each factor is its binomial series sum_j C(e+j-1, j) x^(kj)
+    coeffs = [1] + [0] * degree
+    for k, e in enumerate(exponents[1:], start=1):
+        factor = [0] * (degree + 1)
+        binomial = 1
+        for j in range(degree // k + 1):
+            factor[k * j] = binomial
+            binomial = binomial * (e + j) // (j + 1)
+        coeffs = _poly_mul(coeffs, factor, degree)
+    return coeffs
+
+
+def test_euler_exponents_round_trip():
+    rng = random.Random(6021)
+    for _ in range(60):
+        degree = rng.randint(0, 10)
+        bound = rng.choice([2, 400])
+        coeffs = [1] + [rng.randint(-bound, bound) for _ in range(degree)]
+        exponents = _euler_exponents(coeffs)
+        assert exponents[0] == 0 and len(exponents) == degree + 1
+        assert _euler_product(exponents, degree) == coeffs
+    # 1/(1-x) and (1+x) = (1-x^2)/(1-x)
+    assert _euler_exponents([1, 1, 1, 1]) == [0, 1, 0, 0]
+    assert _euler_exponents([1, 1, 0, 0, 0]) == [0, 1, -1, 0, 0]
+
+
+def test_euler_exponents_reject_a_non_integral_series():
+    # integer exponents give integer coefficients, so a half coefficient
+    # leaves a remainder in the exact division
+    with pytest.raises(ConsistencyError, match="e_1 is not an integer"):
+        _euler_exponents([1, Fraction(1, 2)])
+    with pytest.raises(ConsistencyError, match="e_2 is not an integer"):
+        _euler_exponents([1, 0, Fraction(1, 2)])
 
 
 def test_compare_finds_the_documented_discrepancy():
@@ -327,6 +383,8 @@ def _filter_then_fit(target, sizes, max_factor_degree):
 
 # a target whose partial numerators go negative below the next factor degree
 PRUNED_TARGET = Series([1, 3, 4, 4, 5, 7, 9, 10, 12])
+# a target whose numerators carry one factor degree several times
+REPEATED_TARGET = expand(RationalForm((2, 2, 2, 3), (1, 1)), 10)
 
 
 @pytest.mark.parametrize(
@@ -338,6 +396,9 @@ PRUNED_TARGET = Series([1, 3, 4, 4, 5, 7, 9, 10, 12])
         (Series([1, 2, 2, 2, 2]), {"max_total_factors": 3, "max_factor_degree": 4}, [1, 2, 3]),
         (PRUNED_TARGET, {"max_total_factors": 3, "max_factor_degree": 5}, [1, 2, 3]),
         (PRUNED_TARGET, {"free_generators": 0, "max_factor_degree": 5}, [0]),
+        (REPEATED_TARGET, {"free_generators": 2, "max_factor_degree": 5}, [2]),
+        # factor degrees past the target's truncation
+        (Series([1, 2, 2, 2, 2]), {"max_total_factors": 3, "max_factor_degree": 6}, [1, 2, 3]),
     ],
 )
 def test_search_equals_filter_then_fit(target, kwargs, sizes):
