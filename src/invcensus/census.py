@@ -13,8 +13,9 @@ J. Algebra 154, 1993), so orthonormality of the characters collapses the sum
 over sigma.
 
 All degrees up to D come from one pass of the Murnaghan-Nakayama walk of
-characters.py over the shapes with at most K = max(N1, N2) rows, which is
-exact because removing a strip never adds a row.  Each class rho of S_m adds
+characters.py over the shapes with at most K = min(max(N1, N2), D) rows, which
+is exact because removing a strip never adds a row and no shape of size at
+most D has more than D rows.  Each class rho of S_m adds
 (m!/z_rho) Phi_N1(rho) Phi_N2(rho) to the class sum of degree m.  The pass
 holds at most D + 1 vectors and fills no memo.
 """
@@ -24,8 +25,8 @@ from math import factorial
 from operator import mul
 
 from .characters import _beads, _walk
-from .errors import ConsistencyError, ResourceLimitError
-from .partitions import partitions_of, require_int
+from .errors import ConsistencyError, ResourceLimitError, require_int
+from .partitions import partitions_of
 from .series import Series
 
 # Default cap on the degree, so that a long run is asked for explicitly.  The
@@ -41,20 +42,14 @@ class CensusProblem:
     n2: int
 
     def __post_init__(self):
-        if type(self.n1) is not int or type(self.n2) is not int:  # rejects bool too
-            raise ValueError(
-                f"subsystem dimensions must be integers, got {self.n1!r}x{self.n2!r}"
-            )
-        if self.n1 < 1 or self.n2 < 1:
-            raise ValueError(f"subsystem dimensions must be >= 1, got {self.n1}x{self.n2}")
+        require_int("n1", self.n1, 1)
+        require_int("n2", self.n2, 1)
 
 
 def _require_degree(name: str, degree: int, degree_limit: int) -> None:
     """Reject a degree that is not an int, is negative or is past degree_limit."""
-    require_int(name, degree)
+    require_int(name, degree, 0)
     require_int("degree_limit", degree_limit)
-    if degree < 0:
-        raise ValueError(f"{name} must be nonnegative, got {degree}")
     if degree > degree_limit:
         raise ResourceLimitError(
             f"degree {degree} exceeds the configured limit {degree_limit}"
@@ -63,8 +58,8 @@ def _require_degree(name: str, degree: int, degree_limit: int) -> None:
 
 def _census(problem: CensusProblem, max_degree: int) -> list[int]:
     """F_0 .. F_max_degree, each one exact division of its class sum by m!."""
-    rows = max(problem.n1, problem.n2)
-    narrow = min(problem.n1, problem.n2)
+    rows = min(max(problem.n1, problem.n2), max_degree)
+    narrow = min(problem.n1, problem.n2, max_degree)
     degrees = range(max_degree + 1)
     # shapes of each size as bead tuples, those with at most `narrow` rows first
     shapes = [

@@ -13,8 +13,8 @@ empty shape inside lambda, memoized.
 from functools import lru_cache
 from operator import le
 
-from .errors import ResourceLimitError, WeightMismatchError
-from .partitions import Partition, as_partition, partitions_of, require_int
+from .errors import ResourceLimitError, require_int
+from .partitions import Partition, as_partition, common_weight, partitions_of
 
 # Hard safety cap: tables grow like p(n)^2; past it needs an explicit override.
 DEFAULT_MAX_TABLE_N = 16
@@ -95,13 +95,8 @@ def _character(shape: Partition, cycles: Partition) -> int:
 
 def character(irrep: Partition, cycle_type: Partition) -> int:
     """Character of the S_n irreducible `irrep` on the class `cycle_type`."""
-    irrep = as_partition(irrep)
-    cycle_type = as_partition(cycle_type)
-    if sum(irrep) != sum(cycle_type):
-        raise WeightMismatchError(
-            f"weights differ: {irrep} partitions {sum(irrep)}, "
-            f"{cycle_type} partitions {sum(cycle_type)}"
-        )
+    irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
+    common_weight(irrep, cycle_type)
     return _character(irrep, cycle_type)
 
 
@@ -122,11 +117,7 @@ class CharTable:
 
     def value(self, irrep: Partition, cycle_type: Partition) -> int:
         irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
-        for p in (irrep, cycle_type):
-            if sum(p) != self.n:
-                raise WeightMismatchError(
-                    f"weights differ: {p} partitions {sum(p)}, the table is of S_{self.n}"
-                )
+        common_weight(self.partitions[0], irrep, cycle_type)  # (n), or () for n = 0
         return self.values[self._index[irrep]][self._index[cycle_type]]
 
     def __eq__(self, other):
@@ -190,10 +181,8 @@ def _table(n: int) -> CharTable:
 
 def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
     """Full character table of S_n, memoized in memory."""
-    require_int("n", n)
+    require_int("n", n, 0)
     require_int("max_n", max_n)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
     if n > max_n:
         raise ResourceLimitError(
             f"character table too large: n={n} exceeds the limit {max_n}"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer-argument check."""
 
 
 class InvcensusError(Exception):
@@ -23,3 +23,15 @@ class ResourceLimitError(InvcensusError, RuntimeError):
 
 class SeriesFormatError(InvcensusError, ValueError):
     """Malformed series document or file."""
+
+
+_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def require_int(name: str, value, least: int | None = None) -> None:
+    """Raise ValueError unless value is a plain int (not a bool or a float) >= least.
+
+    least is None (any integer), 0 or 1.
+    """
+    if type(value) is not int or (least is not None and value < least):
+        raise ValueError(f"{name} must be {_KINDS[least]}, got {value!r}")

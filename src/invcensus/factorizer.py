@@ -17,14 +17,8 @@ candidate's numerator is factored in one pass over k = 1..D.
 
 from dataclasses import dataclass, field
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, require_int
 from .series import Series
-
-
-def _require_int(name: str, value, least: int) -> None:
-    if type(value) is not int or value < least:  # rejects bool and float alike
-        kind = "nonnegative" if least == 0 else "positive"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,7 @@ class RationalForm:
 
 def expand(form: RationalForm, degree: int) -> Series:
     """Exact truncated expansion of the rational form."""
-    _require_int("degree", degree, 0)
+    require_int("degree", degree, 0)
     coeffs = [0] * (degree + 1)
     coeffs[0] = 1
     for a in form.numerator_degrees:
@@ -67,7 +61,7 @@ def expand(form: RationalForm, degree: int) -> Series:
 
 def numerator_for_denominator(target: Series, denominator_degrees, degree: int) -> Series:
     """Target times Prod(1-x^b), the numerator a denominator choice implies."""
-    _require_int("degree", degree, 0)
+    require_int("degree", degree, 0)
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
     if degree > target.degree:
@@ -76,7 +70,7 @@ def numerator_for_denominator(target: Series, denominator_degrees, degree: int) 
         )
     coeffs = list(target.coeffs[: degree + 1])
     for b in denominator_degrees:
-        _require_int("denominator degree", b, 1)
+        require_int("denominator degree", b, 1)
         for i in range(degree, b - 1, -1):
             coeffs[i] -= coeffs[i - b]
     return Series(coeffs)
@@ -192,19 +186,23 @@ def _fit(
     )
 
 
+def _anchored(target: Series) -> bool:
+    """Whether the target has exactly one linear invariant, which anchors the search."""
+    return target.degree >= 1 and target[1] == 1
+
+
 def fit_denominator(
     target: Series,
     denominator_degrees,
     *,
     max_factor_degree: int | None = None,
-    degree_one_anchored: bool = False,
 ) -> FitReport:
     """Fit a numerator to one denominator choice and report the result."""
     degree = target.degree
     if max_factor_degree is None:
         max_factor_degree = degree
     else:
-        _require_int("max_factor_degree", max_factor_degree, 0)
+        require_int("max_factor_degree", max_factor_degree, 0)
     denominator_degrees = tuple(denominator_degrees)  # read once, even from an iterator
     numerator = numerator_for_denominator(target, denominator_degrees, degree)
     nonnegative_through = next(
@@ -217,7 +215,7 @@ def fit_denominator(
         numerator,
         nonnegative_through,
         max_factor_degree,
-        degree_one_anchored,
+        _anchored(target),
     )
 
 
@@ -249,15 +247,15 @@ def search_candidates(
     if max_factor_degree is None:
         max_factor_degree = degree
     else:
-        _require_int("max_factor_degree", max_factor_degree, 1)
+        require_int("max_factor_degree", max_factor_degree, 1)
     if max_total_factors is not None:
-        _require_int("max_total_factors", max_total_factors, 1)
+        require_int("max_total_factors", max_total_factors, 1)
     if free_generators is not None:
-        _require_int("free_generators", free_generators, 0)
+        require_int("free_generators", free_generators, 0)
         smallest = largest = free_generators
     else:
         smallest, largest = 1, max_total_factors
-    anchored = degree >= 1 and target[1] == 1
+    anchored = _anchored(target)
     # stands for "no negative coefficient": past every degree and every factor
     nonnegative = max(degree, max_factor_degree) + 1
     target_exponents = _euler_exponents(target.coeffs)

@@ -19,14 +19,8 @@ from math import factorial
 from operator import mul
 
 from .characters import _rows
-from .errors import ConsistencyError, WeightMismatchError
-from .partitions import (
-    Partition,
-    as_partition,
-    class_sizes,
-    partitions_of,
-    require_int,
-)
+from .errors import ConsistencyError, require_int
+from .partitions import Partition, as_partition, class_sizes, common_weight, partitions_of
 
 
 @dataclass(frozen=True)
@@ -42,16 +36,6 @@ class SchurExpansion:
 
     def __iter__(self):
         return iter(self.terms.items())
-
-
-def _check_weights(*parts: Partition) -> int:
-    n = sum(parts[0])
-    for p in parts[1:]:
-        if sum(p) != n:
-            raise WeightMismatchError(
-                f"weights differ: {parts[0]} partitions {n}, {p} partitions {sum(p)}"
-            )
-    return n
 
 
 def _weights(rows, lam: Partition, mu: Partition) -> list[int]:
@@ -85,14 +69,14 @@ def _kron(lam: Partition, mu: Partition, nu: Partition) -> int:
 def kronecker_coefficient(lam: Partition, mu: Partition, nu: Partition) -> int:
     """Multiplicity of nu in the Kronecker product lam * mu."""
     lam, mu, nu = as_partition(lam), as_partition(mu), as_partition(nu)
-    _check_weights(lam, mu, nu)
+    common_weight(lam, mu, nu)
     return _kron(lam, mu, nu)
 
 
 def inner_product_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full decomposition of the Kronecker product lam * mu."""
     lam, mu = as_partition(lam), as_partition(mu)
-    n = _check_weights(lam, mu)
+    n = common_weight(lam, mu)
     rows = _rows(partitions_of(n))
     weights = _weights(rows, lam, mu)
     terms = {}
@@ -111,10 +95,8 @@ def pair_weight(lam: Partition, mu: Partition, part_bound: int) -> int:
     truncating full expansions.
     """
     lam, mu = as_partition(lam), as_partition(mu)
-    n = _check_weights(lam, mu)
-    require_int("part_bound", part_bound)
-    if part_bound < 1:
-        raise ValueError(f"part_bound must be positive, got {part_bound}")
+    n = common_weight(lam, mu)
+    require_int("part_bound", part_bound, 1)
     sigmas = partitions_of(n, part_bound)
     rows = _rows([lam, mu, *sigmas])
     left_weights = _weights(rows, lam, lam)

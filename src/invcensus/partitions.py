@@ -2,22 +2,19 @@
 
 A partition is stored as a tuple of weakly decreasing positive integers; the
 empty tuple is the unique partition of 0.  Partitions double as cycle types
-when indexing conjugacy classes of the symmetric group.
+when indexing conjugacy classes of the symmetric group.  Every public function
+that takes a partition passes it through as_partition, the one place its rules
+are checked, and every function that needs partitions of one integer checks
+them with common_weight.
 """
 
 from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError, PartitionParseError
+from .errors import ConsistencyError, PartitionParseError, WeightMismatchError, require_int
 
 Partition = tuple[int, ...]
-
-
-def require_int(name: str, value) -> None:
-    """Raise ValueError unless value is a plain int (bool and float are refused)."""
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def as_partition(parts) -> Partition:
@@ -31,6 +28,18 @@ def as_partition(parts) -> Partition:
                 f"parts must be weakly decreasing, got {part!r} after {p[i - 1]!r}"
             )
     return p
+
+
+def common_weight(first: Partition, *rest: Partition) -> int:
+    """The integer that first and every one of rest partition.
+
+    Raises WeightMismatchError at the first partition of another weight.
+    """
+    n = sum(first)
+    for p in rest:
+        if sum(p) != n:
+            raise WeightMismatchError(f"weights differ: {p} partitions {sum(p)}, not {n}")
+    return n
 
 
 @lru_cache(maxsize=None)
@@ -63,18 +72,15 @@ def partitions_of(n: int, max_parts: int | None = None) -> tuple[Partition, ...]
 
     With max_parts, only partitions with at most that many parts are listed.
     """
-    require_int("n", n)
+    require_int("n", n, 0)
     if max_parts is not None:
-        require_int("max_parts", max_parts)
-    if n < 0:
-        raise ValueError(f"cannot partition a negative integer: {n}")
-    if max_parts is not None and max_parts < 0:
-        raise ValueError(f"max_parts must be nonnegative, got {max_parts}")
+        require_int("max_parts", max_parts, 0)
     return _partitions(n, max_parts)
 
 
 def conjugate(p: Partition) -> Partition:
     """Transpose of the Young diagram."""
+    p = as_partition(p)
     if not p:
         return ()
     return tuple(sum(1 for part in p if part > i) for i in range(p[0]))
@@ -86,7 +92,7 @@ def z_order(p: Partition) -> int:
     The conjugacy class of cycle type p in S_n has n!/z_order(p) elements.
     """
     z = 1
-    for size, mult in Counter(p).items():
+    for size, mult in Counter(as_partition(p)).items():
         z *= size**mult * factorial(mult)
     return z
 
@@ -100,6 +106,7 @@ def class_sizes(n: int) -> tuple[tuple[Partition, int], ...]:
 
 def dimension(p: Partition) -> int:
     """Dimension of the symmetric-group irreducible labeled by p (hook lengths)."""
+    p = as_partition(p)
     if not p:
         return 1
     conj = conjugate(p)
@@ -120,19 +127,11 @@ def parse_partition(text: str) -> Partition:
         return ()
     parts: list[int] = []
     for token in s.split(","):
-        tok = token.strip()
         try:
-            value = int(tok)
+            parts.append(int(token))
         except ValueError:
-            raise PartitionParseError(f"invalid part {tok!r}") from None
-        if value < 1:
-            raise PartitionParseError(f"parts must be positive, got {tok!r}")
-        if parts and value > parts[-1]:
-            raise PartitionParseError(
-                f"parts must be weakly decreasing, got {tok!r} after {parts[-1]!r}"
-            )
-        parts.append(value)
-    return tuple(parts)
+            raise PartitionParseError(f"invalid part {token.strip()!r}") from None
+    return as_partition(parts)
 
 
 def format_partition(p: Partition) -> str:

@@ -67,6 +67,14 @@ def test_monotone_in_dimensions():
         assert f11 <= f21 <= f22 <= f32
 
 
+def test_blocks_wider_than_the_degree_give_the_same_series():
+    # no shape of size <= 8 has more than 8 rows
+    for wide, capped in (((300, 300), (8, 8)), ((300, 2), (8, 2))):
+        assert generating_series(CensusProblem(*wide), 8) == generating_series(
+            CensusProblem(*capped), 8
+        )
+
+
 def test_degree_limit_enforced():
     problem = CensusProblem(2, 2)
     with pytest.raises(ResourceLimitError, match="exceeds"):
@@ -88,7 +96,7 @@ def test_invalid_problems_rejected():
 
 @pytest.mark.parametrize("n1, n2", [(2.5, 2), (2, 2.0), (True, 2), (2, False), ("2", 2)])
 def test_non_integer_dimensions_rejected(n1, n2):
-    with pytest.raises(ValueError, match="must be integers"):
+    with pytest.raises(ValueError, match="must be a positive integer"):
         CensusProblem(n1, n2)
 
 
@@ -106,7 +114,7 @@ def test_non_integer_dimensions_rejected(n1, n2):
     ],
 )
 def test_non_integer_degrees_rejected(call):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match="must be an? (nonnegative )?integer"):
         call(CensusProblem(2, 2))
 
 

@@ -175,7 +175,7 @@ def test_resource_limit():
     "args", [(True,), (3.0,), ("3",), (None,), (5, 4.5), (5, True), (5, None)]
 )
 def test_table_rejects_non_integer_input(args):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match="must be an? (nonnegative )?integer"):
         char_table(*args)
 
 

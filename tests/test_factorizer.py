@@ -406,6 +406,12 @@ def test_search_equals_filter_then_fit(target, kwargs, sizes):
     reports = search_candidates(target, **kwargs)
     assert [_report_row(r) for r in reports] == expected
     assert reports
+    # fitting one survivor alone reports it as the search does, the anchor included
+    for r in reports:
+        alone = fit_denominator(
+            target, r.candidate.denominator_degrees, max_factor_degree=kwargs["max_factor_degree"]
+        )
+        assert _report_row(alone) == _report_row(r)
 
 
 def test_pruned_target_is_negative_below_the_next_factor():

@@ -203,7 +203,7 @@ def test_empty_weight_zero_product():
 
 @pytest.mark.parametrize("bound", [True, False, 2.0, "2", None])
 def test_part_bound_must_be_an_integer(bound):
-    with pytest.raises(ValueError, match="must be an integer"):
+    with pytest.raises(ValueError, match="must be a positive integer"):
         pair_weight((2, 1), (2, 1), bound)
 
 
