@@ -15,8 +15,8 @@ import time
 from . import __version__
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
 from .characters import char_table, character
-from .errors import ConsistencyError, InvcensusError
-from .factorizer import compare, search_candidates
+from .errors import ConsistencyError, InvcensusError, parse_int
+from .factorizer import _anchored, compare, numerator_for_denominator, search_candidates
 from .kronecker import inner_product_expansion
 from .molien import molien_series
 from .partitions import format_partition, parse_partition
@@ -26,7 +26,7 @@ from .series import read_series_file, series_to_json
 def _int_at_least(least: int, kind: str):
     def parse(text: str) -> int:
         try:
-            value = int(text)
+            value = parse_int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
         if value < least:
@@ -160,7 +160,7 @@ def _cmd_kron(args):
     return result, text
 
 
-def _describe_candidate(rank, report, target_degree):
+def _describe_candidate(rank, report, numerator, target_degree):
     lines = [
         f"candidate {rank}: num {_format_multiset(report.candidate.numerator_degrees)}"
         f" / den {_format_multiset(report.candidate.denominator_degrees)}",
@@ -178,8 +178,7 @@ def _describe_candidate(rank, report, target_degree):
         )
     if not report.fully_factored:
         lines.append(
-            "  numerator not fully factored; raw numerator series "
-            + str(list(report.numerator_series))
+            "  numerator not fully factored; raw numerator series " + str(list(numerator))
         )
     return lines
 
@@ -193,6 +192,12 @@ def _cmd_factor(args):
         max_total_factors=args.max_total_factors,
     )
     shown = reports[: args.limit]
+    # reports keep no numerator, so it is recomputed for the shown rows only
+    numerators = [
+        numerator_for_denominator(target, r.candidate.denominator_degrees, target.degree)
+        for r in shown
+    ]
+    anchored = _anchored(target)
     result = {
         "candidate_count": len(reports),
         "candidates": [
@@ -205,16 +210,16 @@ def _cmd_factor(args):
                 "first_mismatch": list(r.first_mismatch) if r.first_mismatch else None,
                 "numerator_nonnegative_through": r.numerator_nonnegative_through,
                 "fully_factored": r.fully_factored,
-                "degree_one_anchored": r.degree_one_anchored,
-                "numerator_series": series_to_json(r.numerator_series),
+                "degree_one_anchored": anchored,
+                "numerator_series": series_to_json(numerator),
             }
-            for r in shown
+            for r, numerator in zip(shown, numerators)
         ],
     }
     if shown:
         lines = [f"{len(reports)} candidate(s); showing {len(shown)}"]
-        for rank, report in enumerate(shown, start=1):
-            lines.extend(_describe_candidate(rank, report, target.degree))
+        for rank, (report, numerator) in enumerate(zip(shown, numerators), start=1):
+            lines.extend(_describe_candidate(rank, report, numerator, target.degree))
         text = "\n".join(lines)
     else:
         text = "no candidates found"

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer-argument check."""
+"""Exception types shared across the package, and the one integer-argument and token rules."""
 
 
 class InvcensusError(Exception):
@@ -35,3 +35,11 @@ def require_int(name: str, value, least: int | None = None) -> None:
     """
     if type(value) is not int or (least is not None and value < least):
         raise ValueError(f"{name} must be {_KINDS[least]}, got {value!r}")
+
+
+def parse_int(text: str) -> int:
+    """Read an optional '-' and ASCII digits, after strip(); int() also takes '+3' and '1_0'."""
+    digits = text.strip().removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)

@@ -15,7 +15,7 @@ by 1 and raises e_2a by 1.  The target's exponents are computed once, and each
 candidate's numerator is factored in one pass over k = 1..D.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ConsistencyError, require_int
 from .series import Series
@@ -136,25 +136,30 @@ def _greedy_factor(
 
 @dataclass(frozen=True)
 class FitReport:
-    """How well one denominator choice explains the target series."""
+    """How well one denominator choice explains the target series.
+
+    Only what the fit finds is stored.  The numerator series a report stands
+    for is numerator_for_denominator(target, candidate.denominator_degrees,
+    target.degree), computed again when it is needed.
+    """
 
     candidate: RationalForm
     match_degree: int
     first_mismatch: tuple[int, int, int] | None
     numerator_nonnegative_through: int
-    numerator_series: Series = field(compare=False)
-    fully_factored: bool = field(compare=False)
-    degree_one_anchored: bool = field(compare=False)
+
+    @property
+    def fully_factored(self) -> bool:
+        """Whether the greedy factoring left no remainder within the truncation."""
+        return self.first_mismatch is None
 
 
 def _fit(
     target: Series,
     target_exponents: list[int],
     denominator_degrees: tuple[int, ...],
-    numerator: Series,
     nonnegative_through: int,
     max_factor_degree: int,
-    degree_one_anchored: bool,
 ) -> FitReport:
     """Factor a numerator N = T*Prod(1-x^b) and read the fit off the remainder.
 
@@ -180,9 +185,6 @@ def _fit(
         match_degree=match_degree,
         first_mismatch=mismatch,
         numerator_nonnegative_through=nonnegative_through,
-        numerator_series=numerator,
-        fully_factored=lowest is None,
-        degree_one_anchored=degree_one_anchored,
     )
 
 
@@ -208,15 +210,8 @@ def fit_denominator(
     nonnegative_through = next(
         (n - 1 for n in range(degree + 1) if numerator[n] < 0), degree
     )
-    return _fit(
-        target,
-        _euler_exponents(target.coeffs),
-        denominator_degrees,
-        numerator,
-        nonnegative_through,
-        max_factor_degree,
-        _anchored(target),
-    )
+    exponents = _euler_exponents(target.coeffs)
+    return _fit(target, exponents, denominator_degrees, nonnegative_through, max_factor_degree)
 
 
 def search_candidates(
@@ -272,17 +267,7 @@ def search_candidates(
 
     def descend(prefix, coeffs, first_negative, next_lowest):
         if len(prefix) >= smallest and first_negative == nonnegative:
-            reports.append(
-                _fit(
-                    target,
-                    target_exponents,
-                    prefix,
-                    Series(coeffs),
-                    degree,
-                    max_factor_degree,
-                    anchored,
-                )
-            )
+            reports.append(_fit(target, target_exponents, prefix, degree, max_factor_degree))
         if len(prefix) < largest:
             for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
                 descend(prefix + (b,), *times_one_minus(coeffs, b), b)

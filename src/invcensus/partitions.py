@@ -12,7 +12,8 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError, PartitionParseError, WeightMismatchError, require_int
+from .errors import ConsistencyError, PartitionParseError, WeightMismatchError
+from .errors import parse_int, require_int
 
 Partition = tuple[int, ...]
 
@@ -128,7 +129,7 @@ def parse_partition(text: str) -> Partition:
     parts: list[int] = []
     for token in s.split(","):
         try:
-            parts.append(int(token))
+            parts.append(parse_int(token))
         except ValueError:
             raise PartitionParseError(f"invalid part {token.strip()!r}") from None
     return as_partition(parts)

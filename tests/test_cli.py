@@ -77,13 +77,20 @@ def test_census_rejects_bad_dimension(capsys):
     [
         ("--max-degree", "-1", "expected a nonnegative integer, got '-1'"),
         ("--max-degree", "2.5", "expected an integer, got '2.5'"),
+        # int() reads each of these; the CLI takes only '-' and ASCII digits
+        ("--max-degree", "1_0", "expected an integer, got '1_0'"),
+        ("--max-degree", "+3", "expected an integer, got '+3'"),
+        ("--max-degree", "\u0663", "expected an integer, got '\u0663'"),
+        ("--n1", "\uff13", "expected an integer, got '\uff13'"),
+        ("--n1", "-2", "expected a positive integer, got '-2'"),
     ],
 )
 def test_integer_options_report_their_bound(capsys, flag, text, message):
     argv = {"--n1": "2", "--n2": "2", "--max-degree": "3"}
     argv[flag] = text
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["census", *[x for pair in argv.items() for x in pair]])
+    assert exc.value.code == 2
     assert message in capsys.readouterr().err
 
 
@@ -246,6 +253,29 @@ def test_factor_json(capsys, tmp_path):
     assert top["match_degree"] == 8
     assert top["first_mismatch"] is None
     assert top["fully_factored"] is True
+
+
+@pytest.mark.parametrize(
+    "coefficients, kwargs, numerator, anchored, factored",
+    [
+        # the README example: the numerator is printed, recomputed from the denominator
+        (TWO_BY_TWO, ["--free-generators", "9", "--max-factor-degree", "9"],
+         [1, 0, 0, 0, 1, 1, 4, 2, 2, 3, 2, 2], True, False),
+        ([1, 2, 2, 2, 2], ["--free-generators", "1"], [1, 1, 0, 0, 0], False, True),
+    ],
+)
+def test_factor_json_numerator_and_anchor(
+    capsys, tmp_path, coefficients, kwargs, numerator, anchored, factored
+):
+    path = tmp_path / "target.json"
+    write_series_file(path, Series(coefficients))
+    doc = run_json(
+        capsys, "factor", "--series-file", str(path), *kwargs, "--limit", "1", "--format", "json"
+    )
+    top = doc["result"]["candidates"][0]
+    assert top["numerator_series"]["coefficients"] == numerator
+    assert top["degree_one_anchored"] is anchored
+    assert top["fully_factored"] is factored
 
 
 def test_factor_rejects_both_size_options(capsys, tmp_path):

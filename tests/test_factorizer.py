@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -8,6 +9,7 @@ from invcensus.errors import ConsistencyError
 from invcensus.factorizer import (
     FitReport,
     RationalForm,
+    _anchored,
     _euler_exponents,
     compare,
     expand,
@@ -210,7 +212,24 @@ def test_fit_rediscovers_saturated_numerator():
     assert report.first_mismatch == (10, 398, 396)
     assert not report.fully_factored
     assert report.numerator_nonnegative_through == 11
-    assert list(report.numerator_series)[:10] == [1, 0, 0, 0, 1, 1, 4, 2, 2, 3]
+    numerator = numerator_for_denominator(TARGET_F, G_DENOMINATOR, TARGET_F.degree)
+    assert list(numerator)[:10] == [1, 0, 0, 0, 1, 1, 4, 2, 2, 3]
+
+
+def test_fit_report_stores_only_what_the_fit_found():
+    assert [f.name for f in dataclasses.fields(FitReport)] == [
+        "candidate",
+        "match_degree",
+        "first_mismatch",
+        "numerator_nonnegative_through",
+    ]
+    assert isinstance(FitReport.fully_factored, property)
+    for report, factored in (
+        (fit_denominator(TARGET_F, G_DENOMINATOR, max_factor_degree=9), False),
+        (fit_denominator(Series([1, 2, 2, 2, 2]), (1,)), True),
+    ):
+        assert report.fully_factored is factored
+        assert report.fully_factored == (report.first_mismatch is None)
 
 
 def test_fit_exact_denominator_fully_factors():
@@ -227,7 +246,7 @@ def test_search_simple_target():
     top = reports[0]
     assert top.candidate == RationalForm((1,), (1,))
     assert top.match_degree == 4
-    assert not top.degree_one_anchored
+    assert not _anchored(Series([1, 2, 2, 2, 2]))
 
 
 def test_search_single_qubit_counts():
@@ -236,7 +255,7 @@ def test_search_single_qubit_counts():
     top = reports[0]
     assert top.candidate == RationalForm((), (1, 2))
     assert top.match_degree == 8
-    assert top.degree_one_anchored
+    assert _anchored(target)
 
 
 def test_search_rediscovers_saturated_denominator():
@@ -249,10 +268,8 @@ def test_search_rediscovers_saturated_denominator():
     assert report.match_degree == 9
     assert report.first_mismatch == (10, 398, 396)
     # the anchor prunes every denominator without exactly one linear factor
-    assert all(
-        r.candidate.denominator_degrees.count(1) == 1 and r.degree_one_anchored
-        for r in reports
-    )
+    assert _anchored(TARGET_F)
+    assert all(r.candidate.denominator_degrees.count(1) == 1 for r in reports)
 
 
 def test_search_reports_are_self_consistent():
@@ -336,14 +353,15 @@ def _report_row(r):
         r.match_degree,
         r.first_mismatch,
         r.numerator_nonnegative_through,
-        r.numerator_series,
         r.fully_factored,
-        r.degree_one_anchored,
     )
 
 
 def _filter_then_fit(target, sizes, max_factor_degree):
-    """Every multiset, filtered by its numerator, then fitted from scratch."""
+    """Every multiset, filtered by its numerator, then fitted from scratch.
+
+    Each row is a report row followed by the numerator the filter computed.
+    """
     degree = target.degree
     anchored = degree >= 1 and target[1] == 1
     rows = []
@@ -367,8 +385,7 @@ def _filter_then_fit(target, sizes, max_factor_degree):
             mismatch = compare(expand(candidate, degree), target)
             match_degree = degree if mismatch is None else mismatch[0] - 1
             rows.append(
-                (candidate, match_degree, mismatch, degree, numerator,
-                 not any(remainder[1:]), anchored)
+                (candidate, match_degree, mismatch, degree, not any(remainder[1:]), numerator)
             )
     rows.sort(
         key=lambda row: (
@@ -404,9 +421,13 @@ REPEATED_TARGET = expand(RationalForm((2, 2, 2, 3), (1, 1)), 10)
 def test_search_equals_filter_then_fit(target, kwargs, sizes):
     expected = _filter_then_fit(target, sizes, kwargs["max_factor_degree"])
     reports = search_candidates(target, **kwargs)
-    assert [_report_row(r) for r in reports] == expected
+    assert [_report_row(r) for r in reports] == [row[:-1] for row in expected]
     assert reports
-    # fitting one survivor alone reports it as the search does, the anchor included
+    # reports keep no numerator; recomputing it for a survivor gives the filter's
+    for r, row in zip(reports, expected):
+        dens = r.candidate.denominator_degrees
+        assert numerator_for_denominator(target, dens, target.degree) == row[-1]
+    # fitting one survivor alone reports it as the search does
     for r in reports:
         alone = fit_denominator(
             target, r.candidate.denominator_degrees, max_factor_degree=kwargs["max_factor_degree"]

@@ -59,7 +59,8 @@ KINDS = {0: "a nonnegative integer", 1: "a positive integer"}
     [
         pytest.param(name, call, least, bad, id=f"{entry}-{bad!r}")
         for entry, name, call, least in ENTRY_POINTS
-        for bad in (True, 2.0, "3", least - 1)  # the last is just below the bound
+        # "1_0" is text that int() reads; the last is just below the bound
+        for bad in (True, 2.0, "3", "1_0", least - 1)
     ],
 )
 def test_integer_arguments_share_one_rule(name, call, least, bad):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from invcensus.errors import PartitionParseError
@@ -144,6 +146,10 @@ def test_parse_rejects_increasing_order():
 def test_parse_rejects_bad_tokens():
     with pytest.raises(PartitionParseError, match="invalid part"):
         parse_partition("2,x")
+    # int() reads each of these; a part is only ASCII digits after an optional '-'
+    for token in ("1_0", "+3", "\u0663", "\uff13"):
+        with pytest.raises(PartitionParseError, match=f"^{re.escape(f'invalid part {token!r}')}$"):
+            parse_partition(f"5,{token}")
     with pytest.raises(PartitionParseError, match="positive"):
         parse_partition("2,0")
     with pytest.raises(PartitionParseError, match="positive"):
