@@ -16,8 +16,9 @@ All degrees up to D come from one pass of the Murnaghan-Nakayama walk of
 characters.py over the shapes with at most K = min(max(N1, N2), D) rows, which
 is exact because removing a strip never adds a row and no shape of size at
 most D has more than D rows.  Each class rho of S_m adds
-(m!/z_rho) Phi_N1(rho) Phi_N2(rho) to the class sum of degree m.  The pass
-holds at most D + 1 vectors and fills no memo.
+(m!/z_rho) Phi_N1(rho) Phi_N2(rho) to the class sum of degree m, and each
+F_m is errors.exact_quotient of its class sum by m!.  The pass holds at most
+D + 1 vectors and fills no memo.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from math import factorial
 from operator import mul
 
 from .characters import _beads, _walk
-from .errors import ConsistencyError, ResourceLimitError, require_int
+from .errors import ResourceLimitError, exact_quotient, require_int
 from .partitions import partitions_of
 from .series import Series
 
@@ -75,17 +76,11 @@ def _census(problem: CensusProblem, max_degree: int) -> list[int]:
         totals[m] += orders[m] // z * sum(squares[: cuts[m]]) * sum(squares)
 
     _walk(shapes, visit)
-    counts = []
-    for m, (total, order) in enumerate(zip(totals, orders)):
-        # every term is nonnegative, so only a remainder can expose a wrong character
-        quotient, remainder = divmod(total, order)
-        if remainder:
-            raise ConsistencyError(
-                f"class sum for F_{m} of {problem.n1}x{problem.n2} is "
-                f"{total}/{order}, not an integer"
-            )
-        counts.append(quotient)
-    return counts
+    # every term is nonnegative, so only a remainder can expose a wrong character
+    return [
+        exact_quotient(total, order, "class sum for F_{} of {}x{}", m, problem.n1, problem.n2)
+        for m, (total, order) in enumerate(zip(totals, orders))
+    ]
 
 
 def invariant_count(

@@ -50,23 +50,19 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("text", "json"), default="text", help="output format"
     )
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--n1", type=_positive_int, required=True, help="dimension of the first factor")
+    system.add_argument("--n2", type=_positive_int, required=True, help="dimension of the second factor")
+    system.add_argument("--max-degree", type=_nonnegative_int, required=True)
+    system.add_argument("--degree-limit", type=_nonnegative_int, default=DEFAULT_DEGREE_LIMIT)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    census = sub.add_parser(
-        "census", parents=[common], help="invariant counts by the character route"
+    sub.add_parser(
+        "census", parents=[common, system], help="invariant counts by the character route"
     )
-    census.add_argument("--n1", type=_positive_int, required=True, help="dimension of the first factor")
-    census.add_argument("--n2", type=_positive_int, required=True, help="dimension of the second factor")
-    census.add_argument("--max-degree", type=_nonnegative_int, required=True)
-    census.add_argument("--degree-limit", type=_nonnegative_int, default=DEFAULT_DEGREE_LIMIT)
-
     molien = sub.add_parser(
-        "molien", parents=[common], help="invariant counts by the constant-term route"
+        "molien", parents=[common, system], help="invariant counts by the constant-term route"
     )
-    molien.add_argument("--n1", type=_positive_int, required=True)
-    molien.add_argument("--n2", type=_positive_int, required=True)
-    molien.add_argument("--max-degree", type=_nonnegative_int, required=True)
-    molien.add_argument("--degree-limit", type=_nonnegative_int, default=DEFAULT_DEGREE_LIMIT)
     molien.add_argument(
         "--check",
         action="store_true",
@@ -167,7 +163,7 @@ def _describe_candidate(rank, report, numerator, target_degree):
         f"  free generators {report.candidate.free_generator_count},"
         f" total invariants {report.candidate.total_invariant_count}",
     ]
-    if report.first_mismatch is None:
+    if report.fully_factored:
         lines.append(f"  matches the target through degree {target_degree} (full truncation)")
     else:
         degree, candidate_value, target_value = report.first_mismatch
@@ -176,7 +172,6 @@ def _describe_candidate(rank, report, numerator, target_degree):
             f" first mismatch at degree {degree}"
             f" (candidate {candidate_value}, target {target_value})"
         )
-    if not report.fully_factored:
         lines.append(
             "  numerator not fully factored; raw numerator series " + str(list(numerator))
         )

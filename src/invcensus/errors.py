@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one integer-argument and token rules."""
+"""Exception types shared across the package, and the one integer, token and division rules."""
 
 
 class InvcensusError(Exception):
@@ -43,3 +43,14 @@ def parse_int(text: str) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+def exact_quotient(total: int, divisor: int, what: str, *args) -> int:
+    """total // divisor, or ConsistencyError "<what> is <total>/<divisor>, not an integer".
+
+    The label what.format(*args) is built only on failure, since hot loops call this.
+    """
+    quotient, remainder = divmod(total, divisor)
+    if remainder:
+        raise ConsistencyError(f"{what.format(*args)} is {total}/{divisor}, not an integer")
+    return quotient

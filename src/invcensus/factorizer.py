@@ -17,7 +17,7 @@ candidate's numerator is factored in one pass over k = 1..D.
 
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, require_int
+from .errors import exact_quotient, require_int
 from .series import Series
 
 
@@ -97,10 +97,7 @@ def _euler_exponents(coeffs) -> list[int]:
     divisor_sums = [0] * (degree + 1)  # Sum k*e_k over the proper divisors k of n
     for n in range(1, degree + 1):
         logs[n] = n * coeffs[n] - sum(coeffs[j] * logs[n - j] for j in range(1, n))
-        e, r = divmod(logs[n] - divisor_sums[n], n)
-        if r:
-            raise ConsistencyError(f"Euler exponent e_{n} is not an integer")
-        exponents[n] = e
+        e = exponents[n] = exact_quotient(logs[n] - divisor_sums[n], n, "Euler exponent e_{}", n)
         for m in range(2 * n, degree + 1, n):
             divisor_sums[m] += n * e
     return exponents

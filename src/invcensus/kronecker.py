@@ -6,9 +6,9 @@ The weights |C_rho| chi_lam chi_mu are built once per (lam, mu) from the
 character rows, and each coefficient is their exact dot product with the row
 of nu.  Each call takes all the rows it needs at once: table rows up to the
 table cap, and past it one walk over the shapes inside those irreducibles.
-Every coefficient then passes one divmod by n!, so a wrong character value
-surfaces as a loud non-integrality (or negativity) failure instead of a
-silently wrong count.
+Every coefficient then passes errors.exact_quotient by n! and a sign check, so
+a wrong character value surfaces as a loud non-integrality (or negativity)
+failure instead of a silently wrong count.
 Expansions and pair weights reuse one weight vector for all their nu and do
 not fill the coefficient memo behind kronecker_coefficient.
 """
@@ -19,7 +19,7 @@ from math import factorial
 from operator import mul
 
 from .characters import _rows
-from .errors import ConsistencyError, require_int
+from .errors import ConsistencyError, exact_quotient, require_int
 from .partitions import Partition, as_partition, class_sizes, common_weight, partitions_of
 
 
@@ -52,12 +52,12 @@ def _coefficient(
     """g(lam, mu, nu) from the weights of (lam, mu): one exact division by n!."""
     total = sum(map(mul, weights, rows[nu]))
     order = factorial(sum(nu))
-    quotient, remainder = divmod(total, order)
-    if remainder or quotient < 0:
+    g = exact_quotient(total, order, "class sum for g({}, {}, {})", lam, mu, nu)
+    if g < 0:
         raise ConsistencyError(
             f"class sum for g{lam, mu, nu} is {total}/{order}, not a nonnegative integer"
         )
-    return quotient
+    return g
 
 
 @lru_cache(maxsize=None)

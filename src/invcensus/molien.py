@@ -5,7 +5,8 @@ action with eigenvalues x^w = (a_i/a_j)(b_k/b_l).  The number of degree-n
 invariants is the Haar average of the complete homogeneous function h_n of
 those eigenvalues, which Weyl integration reduces to an exact constant-term
 extraction against the torus measure.  This recomputes the census counts by
-a route that shares no code with the character-theoretic one.
+a route that shares no counting code with the character-theoretic one: only
+CensusProblem, the degree limit and its check, and errors.exact_quotient.
 
 The route works in root coordinates: each U(N) block has N - 1 variables
 z_i = x_i/x_{i+1}, and the z-exponent of x^e is the running sum of the
@@ -21,7 +22,7 @@ F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
 from math import comb, factorial
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
-from .errors import ConsistencyError
+from .errors import ConsistencyError, exact_quotient
 from .series import Series
 
 
@@ -143,13 +144,7 @@ def _haar_average(terms: dict, weyl: dict, problem: CensusProblem) -> int:
     small, large = sorted((terms, weyl), key=len)
     numerator = sum(c * large.get(e, 0) for e, c in small.items())
     order = factorial(problem.n1) * factorial(problem.n2)
-    quotient, remainder = divmod(numerator, order)
-    if remainder:
-        raise ConsistencyError(
-            f"constant term {numerator} is not divisible by the Weyl "
-            f"normalization {order}"
-        )
-    return quotient
+    return exact_quotient(numerator, order, "Haar average for {}x{}", problem.n1, problem.n2)
 
 
 def molien_coefficient(

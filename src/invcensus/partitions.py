@@ -12,8 +12,8 @@ from collections import Counter
 from functools import lru_cache
 from math import factorial
 
-from .errors import ConsistencyError, PartitionParseError, WeightMismatchError
-from .errors import parse_int, require_int
+from .errors import PartitionParseError, WeightMismatchError
+from .errors import exact_quotient, parse_int, require_int
 
 Partition = tuple[int, ...]
 
@@ -115,10 +115,7 @@ def dimension(p: Partition) -> int:
     for i, row in enumerate(p):
         for j in range(row):
             hooks *= (row - j) + (conj[j] - i) - 1
-    dim, rem = divmod(factorial(sum(p)), hooks)
-    if rem:
-        raise ConsistencyError(f"hook product does not divide n! for {p}")
-    return dim
+    return exact_quotient(factorial(sum(p)), hooks, "dimension of {}", p)
 
 
 def parse_partition(text: str) -> Partition:

@@ -5,7 +5,7 @@ import time
 from contextlib import contextmanager
 from itertools import permutations
 
-from invcensus import characters, kronecker
+import invcensus
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.characters import char_table
 from invcensus.cli import main
@@ -67,8 +67,7 @@ def verdict(capsys, label):
 
 
 def _cold_caches():
-    characters.clear_caches()
-    kronecker.clear_caches()
+    invcensus.clear_caches()
 
 
 def test_acceptance_1_golden_series(capsys):

@@ -169,9 +169,10 @@ def test_euler_exponents_round_trip():
 def test_euler_exponents_reject_a_non_integral_series():
     # integer exponents give integer coefficients, so a half coefficient
     # leaves a remainder in the exact division
-    with pytest.raises(ConsistencyError, match="e_1 is not an integer"):
+    # (the first total is the Fraction 1/2 itself, over the divisor 1)
+    with pytest.raises(ConsistencyError, match="Euler exponent e_1 is 1/2/1, not an integer"):
         _euler_exponents([1, Fraction(1, 2)])
-    with pytest.raises(ConsistencyError, match="e_2 is not an integer"):
+    with pytest.raises(ConsistencyError, match="Euler exponent e_2 is 1/2, not an integer"):
         _euler_exponents([1, 0, Fraction(1, 2)])
 
 

@@ -162,7 +162,7 @@ def test_haar_negative_value_surfaced():
 def test_haar_inexact_division_rejected():
     problem = CensusProblem(2, 1)
     off = molien._offset(problem, 0)
-    with pytest.raises(ConsistencyError, match="not divisible"):
+    with pytest.raises(ConsistencyError, match="Haar average for 2x1 is -1/2, not an integer"):
         haar_average(problem, {origin_key(problem, off) + 1: 1}, off)
 
 

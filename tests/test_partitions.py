@@ -2,7 +2,8 @@ import re
 
 import pytest
 
-from invcensus.errors import PartitionParseError
+from invcensus import partitions
+from invcensus.errors import ConsistencyError, PartitionParseError
 from invcensus.partitions import (
     as_partition,
     conjugate,
@@ -173,3 +174,11 @@ def test_enumeration_rejects_negative_input():
 def test_enumeration_rejects_non_integer_input(args):
     with pytest.raises(ValueError, match="must be a nonnegative integer"):
         partitions_of(*args)
+
+
+def test_dimension_rejects_a_hook_product_that_does_not_divide(monkeypatch):
+    # the hook product of (2, 1) is 3; a wrong n! of 7 leaves a remainder
+    monkeypatch.setattr(partitions, "factorial", lambda n: 7)
+    message = re.escape("dimension of (2, 1) is 7/3, not an integer")
+    with pytest.raises(ConsistencyError, match=message):
+        dimension((2, 1))
