@@ -45,16 +45,24 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.14.0"
+__version__ = "0.15.0"
+
+
+# every memo in the package, each a functools cache
+_MEMOS = (
+    characters._table,
+    characters._character,
+    kronecker._kron,
+    partitions._partitions,
+    partitions.class_sizes,
+)
 
 
 def clear_caches() -> None:
     """Empty every memo: character tables and values, Kronecker coefficients,
     partitions and class sizes.  The next computation starts cold."""
-    characters.clear_caches()
-    kronecker.clear_caches()
-    partitions._partitions.cache_clear()
-    partitions.class_sizes.cache_clear()
+    for memo in _MEMOS:
+        memo.cache_clear()
 
 
 __all__ = [

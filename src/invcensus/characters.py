@@ -10,7 +10,7 @@ for (all of them for a table).  A point value adds the strips of rho to the
 empty shape inside lambda, memoized.
 """
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from operator import le
 
 from .errors import ResourceLimitError, require_int
@@ -18,8 +18,6 @@ from .partitions import Partition, as_partition, common_weight, partitions_of
 
 # Hard safety cap: tables grow like p(n)^2; past it needs an explicit override.
 DEFAULT_MAX_TABLE_N = 16
-
-_tables: dict[int, "CharTable"] = {}
 
 
 def _beads(shape: tuple[int, ...], rows: int) -> tuple[int, ...]:
@@ -171,12 +169,10 @@ def _rows(irreps) -> dict[Partition, tuple[int, ...]]:
     return {shape: table.values[table._index[shape]] for shape in irreps}
 
 
+@cache
 def _table(n: int) -> CharTable:
     """The memoized table of S_n, from one walk over all shapes."""
-    if n not in _tables:
-        rows = _walk_rows(partitions_of(n))
-        _tables[n] = CharTable(n, partitions_of(n), rows.values())
-    return _tables[n]
+    return CharTable(n, partitions_of(n), _walk_rows(partitions_of(n)).values())
 
 
 def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
@@ -188,9 +184,3 @@ def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
             f"character table too large: n={n} exceeds the limit {max_n}"
         )
     return _table(n)
-
-
-def clear_caches() -> None:
-    """Drop all in-memory character state (tables and point values)."""
-    _tables.clear()
-    _character.cache_clear()

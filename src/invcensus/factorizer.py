@@ -21,7 +21,7 @@ from .errors import exact_quotient, require_int
 from .series import Series
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalForm:
     """Multisets of cyclotomic-style factor degrees, kept sorted."""
 
@@ -103,35 +103,7 @@ def _euler_exponents(coeffs) -> list[int]:
     return exponents
 
 
-def _greedy_factor(
-    exponents: list[int], max_factor_degree: int
-) -> tuple[tuple[int, ...], int | None, int]:
-    """Pull (1+x^a) factors off Prod(1-x^k)^(-e_k) in place, lowest degree first.
-
-    The lowest nonzero coefficient of a remainder sits at its lowest nonzero
-    exponent e_k and equals it.  Extraction stops there when e_k is negative
-    (no nonnegative polynomial continues the series) or k exceeds the cap;
-    otherwise e_k copies of (1+x^k) come off, each moving one unit of exponent
-    from k to 2k.  Trailing junk from a truncated target is expected and does
-    not halt extraction.  Returns the extracted degrees, the degree of the
-    lowest nonzero coefficient R[lowest] left above degree 0 and its value, or
-    None and 0 when nothing is left.
-    """
-    degree = len(exponents) - 1
-    extracted = []
-    for k in range(1, degree + 1):
-        e = exponents[k]
-        if not e:
-            continue
-        if e < 0 or k > max_factor_degree:
-            return tuple(extracted), k, e
-        extracted += [k] * e
-        if 2 * k <= degree:
-            exponents[2 * k] += e
-    return tuple(extracted), None, 0
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitReport:
     """How well one denominator choice explains the target series.
 
@@ -158,7 +130,15 @@ def _fit(
     nonnegative_through: int,
     max_factor_degree: int,
 ) -> FitReport:
-    """Factor a numerator N = T*Prod(1-x^b) and read the fit off the remainder.
+    """Factor a numerator N = T*Prod(1-x^b) greedily; read the fit off the remainder.
+
+    The (1+x^a) factors come off Prod(1-x^k)^(-e_k) lowest degree first.  The
+    lowest nonzero coefficient of a remainder sits at its lowest nonzero
+    exponent e_k and equals it.  Extraction stops there when e_k is negative
+    (no nonnegative polynomial continues the series) or k exceeds the cap;
+    otherwise e_k copies of (1+x^k) come off, each moving one unit of exponent
+    from k to 2k.  Trailing junk from a truncated target is expected and does
+    not halt extraction.
 
     Greedy division leaves N = Prod(1+x^a) * R, so the candidate expansion E
     satisfies E - T = Prod(1+x^a) * (1 - R) / Prod(1-x^b).  Both outer factors
@@ -170,13 +150,20 @@ def _fit(
     for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
         if b <= degree:
             exponents[b] -= 1
-    factors, lowest, residue = _greedy_factor(exponents, max_factor_degree)
-    if lowest is None:
-        mismatch = None
-        match_degree = degree
-    else:
-        mismatch = (lowest, target[lowest] - residue, target[lowest])
-        match_degree = lowest - 1
+    factors = []
+    mismatch = None
+    match_degree = degree
+    for k in range(1, degree + 1):
+        e = exponents[k]
+        if not e:
+            continue
+        if e < 0 or k > max_factor_degree:  # R[k] = e is the first nonzero remainder
+            mismatch = (k, target[k] - e, target[k])
+            match_degree = k - 1
+            break
+        factors += [k] * e
+        if 2 * k <= degree:
+            exponents[2 * k] += e
     return FitReport(
         candidate=RationalForm(factors, denominator_degrees),
         match_degree=match_degree,

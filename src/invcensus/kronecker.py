@@ -23,7 +23,7 @@ from .errors import ConsistencyError, exact_quotient, require_int
 from .partitions import Partition, as_partition, class_sizes, common_weight, partitions_of
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SchurExpansion:
     """A Kronecker product decomposed into irreducibles with multiplicities.
 
@@ -107,7 +107,3 @@ def pair_weight(lam: Partition, mu: Partition, part_bound: int) -> int:
         if left:
             total += left * _coefficient(right_weights, rows, mu, mu, sigma)
     return total
-
-
-def clear_caches() -> None:
-    _kron.cache_clear()

@@ -213,9 +213,9 @@ def test_census_fills_no_character_memo():
     invcensus.clear_caches()
     series = generating_series(CensusProblem(3, 3), 16, 16)
     assert series[16] == 260034659
-    assert characters._character.cache_info().currsize == 0
-    assert partitions.class_sizes.cache_info().currsize == 0
-    assert characters._tables == {}
+    # the walk lists the classes of each degree, and keeps nothing else
+    filled = [memo for memo in invcensus._MEMOS if memo.cache_info().currsize]
+    assert filled == [partitions._partitions]
 
 
 def test_clear_caches_empties_every_memo():
@@ -230,8 +230,8 @@ def test_clear_caches_empties_every_memo():
         for obj in vars(importlib.import_module(f"invcensus.{info.name}")).values()
         if hasattr(obj, "cache_info")
     }.values()
-    assert len(memos) == 4
+    assert len(memos) == 5
+    assert set(memos) == set(invcensus._MEMOS)
     assert all(memo.cache_info().currsize > 0 for memo in memos)
     invcensus.clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
-    assert characters._tables == {}

@@ -2,8 +2,7 @@ import json
 
 import pytest
 
-from invcensus import __version__
-from invcensus.characters import clear_caches
+from invcensus import __version__, clear_caches
 from invcensus.cli import main
 from invcensus.series import Series, write_series_file
 
