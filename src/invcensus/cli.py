@@ -8,6 +8,7 @@ printed.
 """
 
 import argparse
+import heapq
 import json
 import sys
 import time
@@ -16,7 +17,7 @@ from . import __version__
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
 from .characters import char_table, character
 from .errors import ConsistencyError, InvcensusError, parse_int
-from .factorizer import _anchored, compare, numerator_for_denominator, search_candidates
+from .factorizer import _anchored, _report, _survivors, compare, numerator_for_denominator
 from .kronecker import inner_product_expansion
 from .molien import molien_series
 from .partitions import format_partition, parse_partition
@@ -180,21 +181,16 @@ def _describe_candidate(rank, report, numerator, target_degree):
 
 def _cmd_factor(args):
     target = read_series_file(args.series_file)
-    reports = search_candidates(
-        target,
-        free_generators=args.free_generators,
-        max_factor_degree=args.max_factor_degree,
-        max_total_factors=args.max_total_factors,
-    )
-    shown = reports[: args.limit]
-    # reports keep no numerator, so it is recomputed for the shown rows only
+    keys = _survivors(target, args.free_generators, args.max_factor_degree, args.max_total_factors)
+    # only the shown rows get a report and a numerator; nsmallest keeps search_candidates' order
+    shown = [_report(k, target.degree) for k in heapq.nsmallest(args.limit, keys)]
     numerators = [
         numerator_for_denominator(target, r.candidate.denominator_degrees, target.degree)
         for r in shown
     ]
     anchored = _anchored(target)
     result = {
-        "candidate_count": len(reports),
+        "candidate_count": len(keys),
         "candidates": [
             {
                 "numerator_degrees": list(r.candidate.numerator_degrees),
@@ -212,7 +208,7 @@ def _cmd_factor(args):
         ],
     }
     if shown:
-        lines = [f"{len(reports)} candidate(s); showing {len(shown)}"]
+        lines = [f"{len(keys)} candidate(s); showing {len(shown)}"]
         for rank, (report, numerator) in enumerate(zip(shown, numerators), start=1):
             lines.extend(_describe_candidate(rank, report, numerator, target.degree))
         text = "\n".join(lines)

@@ -127,10 +127,9 @@ def _fit(
     target: Series,
     target_exponents: list[int],
     denominator_degrees: tuple[int, ...],
-    nonnegative_through: int,
     max_factor_degree: int,
-) -> FitReport:
-    """Factor a numerator N = T*Prod(1-x^b) greedily; read the fit off the remainder.
+) -> tuple:
+    """Factor a numerator N = T*Prod(1-x^b) greedily; return the fit's rank key.
 
     The (1+x^a) factors come off Prod(1-x^k)^(-e_k) lowest degree first.  The
     lowest nonzero coefficient of a remainder sits at its lowest nonzero
@@ -164,12 +163,16 @@ def _fit(
         factors += [k] * e
         if 2 * k <= degree:
             exponents[2 * k] += e
-    return FitReport(
-        candidate=RationalForm(factors, denominator_degrees),
-        match_degree=match_degree,
-        first_mismatch=mismatch,
-        numerator_nonnegative_through=nonnegative_through,
-    )
+    total = len(factors) + len(denominator_degrees)
+    # distinct denominators make this order total: first_mismatch is never compared
+    return (-match_degree, total, denominator_degrees, tuple(factors), mismatch)
+
+
+def _report(key: tuple, nonnegative_through: int) -> FitReport:
+    """The FitReport that a rank key from _fit stands for."""
+    negative_match, _, denominator_degrees, numerator_degrees, mismatch = key
+    candidate = RationalForm(numerator_degrees, denominator_degrees)
+    return FitReport(candidate, -negative_match, mismatch, nonnegative_through)
 
 
 def _anchored(target: Series) -> bool:
@@ -194,8 +197,8 @@ def fit_denominator(
     nonnegative_through = next(
         (n - 1 for n in range(degree + 1) if numerator[n] < 0), degree
     )
-    exponents = _euler_exponents(target.coeffs)
-    return _fit(target, exponents, denominator_degrees, nonnegative_through, max_factor_degree)
+    key = _fit(target, _euler_exponents(target.coeffs), denominator_degrees, max_factor_degree)
+    return _report(key, nonnegative_through)
 
 
 def search_candidates(
@@ -210,7 +213,10 @@ def search_candidates(
     Candidates survive when the implied numerator series is nonnegative
     through the target's truncation.  When the target has exactly one linear
     invariant (coefficient 1 at degree 1) the denominator is anchored to
-    contain exactly one degree-1 factor.
+    contain exactly one degree-1 factor.  Best first means match degree
+    descending, then fewest total factors, then the denominator degrees, then
+    the numerator degrees: a total order, since no two survivors share a
+    denominator.
 
     Denominators are walked depth-first in nondecreasing order, carrying the
     partial numerator T*Prod(1-x^b) of each prefix down the tree.  A factor
@@ -218,6 +224,12 @@ def search_candidates(
     numerator is already negative below the next factor degree heads a
     subtree in which nothing survives, and that subtree is skipped.
     """
+    keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
+    return [_report(k, target.degree) for k in sorted(keys)]
+
+
+def _survivors(target, free_generators, max_factor_degree, max_total_factors) -> list[tuple]:
+    """The rank keys of search_candidates' survivors, in walk order."""
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
     if (free_generators is None) == (max_total_factors is None):
@@ -238,7 +250,7 @@ def search_candidates(
     # stands for "no negative coefficient": past every degree and every factor
     nonnegative = max(degree, max_factor_degree) + 1
     target_exponents = _euler_exponents(target.coeffs)
-    reports = []
+    keys = []
 
     def times_one_minus(coeffs, b):
         # coefficients below b are unchanged, and b never passes the first
@@ -251,7 +263,7 @@ def search_candidates(
 
     def descend(prefix, coeffs, first_negative, next_lowest):
         if len(prefix) >= smallest and first_negative == nonnegative:
-            reports.append(_fit(target, target_exponents, prefix, degree, max_factor_degree))
+            keys.append(_fit(target, target_exponents, prefix, max_factor_degree))
         if len(prefix) < largest:
             for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
                 descend(prefix + (b,), *times_one_minus(coeffs, b), b)
@@ -263,12 +275,4 @@ def search_candidates(
     elif largest >= 1:
         # the one degree-1 factor goes first; the rest are drawn from 2 up
         descend((1,), *times_one_minus(coeffs, 1), 2)
-    reports.sort(
-        key=lambda r: (
-            -r.match_degree,
-            r.candidate.total_invariant_count,
-            r.candidate.denominator_degrees,
-            r.candidate.numerator_degrees,
-        )
-    )
-    return reports
+    return keys

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from invcensus import __version__, clear_caches
+from invcensus import __version__, cli, clear_caches, factorizer
 from invcensus.cli import main
+from invcensus.factorizer import search_candidates
 from invcensus.series import Series, write_series_file
 
 TWO_BY_TWO = [1, 1, 4, 6, 16, 23, 52, 77, 150, 224, 396, 583]
@@ -275,6 +276,58 @@ def test_factor_json_numerator_and_anchor(
     assert top["numerator_series"]["coefficients"] == numerator
     assert top["degree_one_anchored"] is anchored
     assert top["fully_factored"] is factored
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        {"free_generators": 9, "max_factor_degree": 9},  # 4,862 survivors
+        {"max_total_factors": 5, "max_factor_degree": 7},  # a size sweep, 201 survivors
+    ],
+)
+def test_factor_rows_are_the_library_ranking(capsys, tmp_path, monkeypatch, options):
+    target = Series(TWO_BY_TWO)
+    path = tmp_path / "target.json"
+    write_series_file(path, target)
+    reports = search_candidates(target, **options)
+    # the CLI ranks plain tuples, whose order is the library's only if denominators are distinct
+    assert len({r.candidate.denominator_degrees for r in reports}) == len(reports)
+    built = []
+
+    def counted_report(key, nonnegative_through):
+        built.append(key)
+        return factorizer._report(key, nonnegative_through)
+
+    monkeypatch.setattr(cli, "_report", counted_report)
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in options.items()]
+    for limit in (1, 3, 10, len(reports) + 7):
+        built.clear()
+        doc = run_json(
+            capsys, "factor", "--series-file", str(path), *flags,
+            "--limit", str(limit), "--format", "json",
+        )
+        assert doc["result"]["candidate_count"] == len(reports)
+        rows = doc["result"]["candidates"]
+        assert len(rows) == len(built) == min(limit, len(reports))
+        assert [
+            (
+                row["numerator_degrees"],
+                row["denominator_degrees"],
+                row["match_degree"],
+                row["first_mismatch"],
+                row["numerator_nonnegative_through"],
+            )
+            for row in rows
+        ] == [
+            (
+                list(r.candidate.numerator_degrees),
+                list(r.candidate.denominator_degrees),
+                r.match_degree,
+                list(r.first_mismatch) if r.first_mismatch else None,
+                r.numerator_nonnegative_through,
+            )
+            for r in reports[:limit]
+        ]
 
 
 def test_factor_rejects_both_size_options(capsys, tmp_path):
