@@ -8,7 +8,6 @@ printed.
 """
 
 import argparse
-import heapq
 import json
 import sys
 import time
@@ -181,16 +180,17 @@ def _describe_candidate(rank, report, numerator, target_degree):
 
 def _cmd_factor(args):
     target = read_series_file(args.series_file)
-    keys = _survivors(target, args.free_generators, args.max_factor_degree, args.max_total_factors)
-    # only the shown rows get a report and a numerator; nsmallest keeps search_candidates' order
-    shown = [_report(k, target.degree) for k in heapq.nsmallest(args.limit, keys)]
+    count, keys = _survivors(
+        target, args.free_generators, args.max_factor_degree, args.max_total_factors, args.limit
+    )
+    shown = [_report(k, target.degree) for k in keys]
     numerators = [
         numerator_for_denominator(target, r.candidate.denominator_degrees, target.degree)
         for r in shown
     ]
     anchored = _anchored(target)
     result = {
-        "candidate_count": len(keys),
+        "candidate_count": count,
         "candidates": [
             {
                 "numerator_degrees": list(r.candidate.numerator_degrees),
@@ -208,7 +208,7 @@ def _cmd_factor(args):
         ],
     }
     if shown:
-        lines = [f"{len(keys)} candidate(s); showing {len(shown)}"]
+        lines = [f"{count} candidate(s); showing {len(shown)}"]
         for rank, (report, numerator) in enumerate(zip(shown, numerators), start=1):
             lines.extend(_describe_candidate(rank, report, numerator, target.degree))
         text = "\n".join(lines)

@@ -15,6 +15,7 @@ by 1 and raises e_2a by 1.  The target's exponents are computed once, and each
 candidate's numerator is factored in one pass over k = 1..D.
 """
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import exact_quotient, require_int
@@ -224,12 +225,20 @@ def search_candidates(
     numerator is already negative below the next factor degree heads a
     subtree in which nothing survives, and that subtree is skipped.
     """
-    keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
-    return [_report(k, target.degree) for k in sorted(keys)]
+    _, keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
+    return [_report(k, target.degree) for k in keys]
 
 
-def _survivors(target, free_generators, max_factor_degree, max_total_factors) -> list[tuple]:
-    """The rank keys of search_candidates' survivors, in walk order."""
+def _survivors(
+    target, free_generators, max_factor_degree, max_total_factors, limit=None
+) -> tuple[int, list[tuple]]:
+    """The survivor count of search_candidates and its rank keys, best first.
+
+    With a limit only the best `limit` keys are returned, and the pool never
+    holds more than 2*limit: when it fills, it is cut back to its best
+    `limit`, and from then on a key is kept only if it ranks above the worst
+    of those.  Keys are distinct, so no cut breaks a tie.
+    """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
     if (free_generators is None) == (max_total_factors is None):
@@ -251,6 +260,9 @@ def _survivors(target, free_generators, max_factor_degree, max_total_factors) ->
     nonnegative = max(degree, max_factor_degree) + 1
     target_exponents = _euler_exponents(target.coeffs)
     keys = []
+    count = 0
+    full = None if limit is None else 2 * limit
+    worst = None  # the limit-th key after the last cut
 
     def times_one_minus(coeffs, b):
         # coefficients below b are unchanged, and b never passes the first
@@ -262,8 +274,15 @@ def _survivors(target, free_generators, max_factor_degree, max_total_factors) ->
         return coeffs[:b] + tail, negative
 
     def descend(prefix, coeffs, first_negative, next_lowest):
+        nonlocal count, keys, worst
         if len(prefix) >= smallest and first_negative == nonnegative:
-            keys.append(_fit(target, target_exponents, prefix, max_factor_degree))
+            count += 1
+            key = _fit(target, target_exponents, prefix, max_factor_degree)
+            if worst is None or key < worst:
+                keys.append(key)
+                if len(keys) == full:
+                    keys = heapq.nsmallest(limit, keys)
+                    worst = keys[-1]
         if len(prefix) < largest:
             for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
                 descend(prefix + (b,), *times_one_minus(coeffs, b), b)
@@ -275,4 +294,4 @@ def _survivors(target, free_generators, max_factor_degree, max_total_factors) ->
     elif largest >= 1:
         # the one degree-1 factor goes first; the rest are drawn from 2 up
         descend((1,), *times_one_minus(coeffs, 1), 2)
-    return keys
+    return count, sorted(keys)[:limit]

@@ -1,7 +1,9 @@
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -11,13 +13,14 @@ from invcensus.factorizer import (
     RationalForm,
     _anchored,
     _euler_exponents,
+    _survivors,
     compare,
     expand,
     fit_denominator,
     numerator_for_denominator,
     search_candidates,
 )
-from invcensus.series import Series
+from invcensus.series import Series, read_series_file
 
 # two-qubit invariant counts through degree 11
 TARGET_F = Series([1, 1, 4, 6, 16, 23, 52, 77, 150, 224, 396, 583])
@@ -459,3 +462,45 @@ def test_fit_mismatch_matches_expansion_for_every_small_denominator():
             assert report.fully_factored == (mismatch is None)
             negative += report.numerator_nonnegative_through < TARGET_F.degree
     assert negative > 0
+
+
+@pytest.mark.parametrize(
+    "options, count",
+    [
+        ({"free_generators": 9, "max_factor_degree": 9}, 4862),
+        ({"max_total_factors": 5, "max_factor_degree": 7}, 201),  # a size sweep
+    ],
+)
+def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
+    args = (
+        TARGET_F,
+        options.get("free_generators"),
+        options["max_factor_degree"],
+        options.get("max_total_factors"),
+    )
+    total, keys = _survivors(*args)
+    assert total == len(keys) == count
+    assert keys == sorted(keys)
+    # every survivor, in the same order, is a report of search_candidates
+    reports = search_candidates(TARGET_F, **options)
+    assert [r.candidate.denominator_degrees for r in reports] == [k[2] for k in keys]
+    # small limits cut the pool many times; count // 2 fills it on the last survivor or
+    # the one before; the largest limits never cut
+    for limit in (1, 2, 3, 10, count // 2, count - 1, count, count + 7):
+        assert _survivors(*args, limit) == (count, keys[:limit])
+
+
+SERIES_2X2_D16 = Path(__file__).resolve().parents[1] / "bench" / "series-2x2-d16.json"
+
+
+def test_bounded_survivors_hold_memory_by_limit_not_by_survivor_count():
+    # the 17,241 survivors' keys take about 8.7 MB when every key is kept
+    target = read_series_file(SERIES_2X2_D16)
+    tracemalloc.start()
+    try:
+        count, keys = _survivors(target, 10, 10, None, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, len(keys)) == (17241, 10)
+    assert peak < 2_000_000, f"traced peak {peak} bytes"
