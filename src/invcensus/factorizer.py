@@ -11,12 +11,16 @@ The greedy factoring runs on Euler exponents, not on coefficients.  Through
 degree D every integer series with constant term 1 is uniquely
 Prod_{k<=D} (1-x^k)^(-e_k) with integer e_k.  A denominator factor (1-x^b)
 lowers e_b by 1, and (1+x^a) = (1-x^2a)/(1-x^a), so dividing by it lowers e_a
-by 1 and raises e_2a by 1.  The target's exponents are computed once, and each
-candidate's numerator is factored in one pass over k = 1..D.
+by 1 and raises e_2a by 1.  The target's exponents are computed once, and one
+greedy pass over k = 1..D factors a candidate's numerator.  The search shares
+that pass between candidates: its steps below b are the same for every
+denominator that extends a prefix ending in b, so they run once, on the way
+down the tree.
 """
 
 import heapq
 from dataclasses import dataclass
+from operator import ge
 
 from .errors import exact_quotient, require_int
 from .series import Series
@@ -124,53 +128,56 @@ class FitReport:
         return self.first_mismatch is None
 
 
-def _fit(
-    target: Series,
-    target_exponents: list[int],
-    denominator_degrees: tuple[int, ...],
-    max_factor_degree: int,
-) -> tuple:
-    """Factor a numerator N = T*Prod(1-x^b) greedily; return the fit's rank key.
+def _extract(exponents: list[int], k: int, end: int, max_factor_degree: int) -> int:
+    """Run the greedy factoring in place over degrees k..end-1; return where it got to.
 
-    The (1+x^a) factors come off Prod(1-x^k)^(-e_k) lowest degree first.  The
+    The (1+x^j) factors come off Prod(1-x^j)^(-e_j) lowest degree first.  The
     lowest nonzero coefficient of a remainder sits at its lowest nonzero
-    exponent e_k and equals it.  Extraction stops there when e_k is negative
-    (no nonnegative polynomial continues the series) or k exceeds the cap;
-    otherwise e_k copies of (1+x^k) come off, each moving one unit of exponent
-    from k to 2k.  Trailing junk from a truncated target is expected and does
+    exponent e_j and equals it.  Extraction stops there when e_j is negative
+    (no nonnegative polynomial continues the series) or j exceeds the cap;
+    otherwise e_j copies of (1+x^j) come off, each moving one unit of exponent
+    from j to 2j.  Trailing junk from a truncated target is expected and does
     not halt extraction.
+
+    Returns the degree extraction stopped at, or, when it did not stop, the
+    first degree left to do: end, or D+1 once the truncation is passed.  The
+    e_j below the returned degree are the multiplicities of the factors taken
+    off, so a run can be resumed from there once every (1-x^b) with b below
+    the new end has lowered its e_b.
+    """
+    degree = len(exponents) - 1
+    end = min(end, degree + 1)
+    for j in range(k, end):
+        e = exponents[j]
+        if e:
+            if e < 0 or j > max_factor_degree:
+                return j
+            if 2 * j <= degree:
+                exponents[2 * j] += e
+    return end
+
+
+def _key(target: Series, exponents: list[int], stop: int, denominator_degrees: tuple) -> tuple:
+    """The rank key of a fit whose greedy run on exponents stopped at degree stop.
 
     Greedy division leaves N = Prod(1+x^a) * R, so the candidate expansion E
     satisfies E - T = Prod(1+x^a) * (1 - R) / Prod(1-x^b).  Both outer factors
     have constant term 1, so E and T first differ at the lowest m >= 1 with
-    R[m] != 0, where E[m] = T[m] - R[m].
+    R[m] != 0, where E[m] = T[m] - R[m]; R[m] = e_m is where the run stopped.
     """
-    degree = target.degree
-    exponents = target_exponents.copy()
-    for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
-        if b <= degree:
-            exponents[b] -= 1
     factors = []
+    for j in range(1, stop):
+        factors += [j] * exponents[j]
     mismatch = None
-    match_degree = degree
-    for k in range(1, degree + 1):
-        e = exponents[k]
-        if not e:
-            continue
-        if e < 0 or k > max_factor_degree:  # R[k] = e is the first nonzero remainder
-            mismatch = (k, target[k] - e, target[k])
-            match_degree = k - 1
-            break
-        factors += [k] * e
-        if 2 * k <= degree:
-            exponents[2 * k] += e
+    if stop <= target.degree:
+        mismatch = (stop, target[stop] - exponents[stop], target[stop])
     total = len(factors) + len(denominator_degrees)
     # distinct denominators make this order total: first_mismatch is never compared
-    return (-match_degree, total, denominator_degrees, tuple(factors), mismatch)
+    return (1 - stop, total, denominator_degrees, tuple(factors), mismatch)
 
 
 def _report(key: tuple, nonnegative_through: int) -> FitReport:
-    """The FitReport that a rank key from _fit stands for."""
+    """The FitReport that a rank key from _key stands for."""
     negative_match, _, denominator_degrees, numerator_degrees, mismatch = key
     candidate = RationalForm(numerator_degrees, denominator_degrees)
     return FitReport(candidate, -negative_match, mismatch, nonnegative_through)
@@ -198,8 +205,12 @@ def fit_denominator(
     nonnegative_through = next(
         (n - 1 for n in range(degree + 1) if numerator[n] < 0), degree
     )
-    key = _fit(target, _euler_exponents(target.coeffs), denominator_degrees, max_factor_degree)
-    return _report(key, nonnegative_through)
+    exponents = _euler_exponents(target.coeffs)
+    for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
+        if b <= degree:
+            exponents[b] -= 1
+    stop = _extract(exponents, 1, degree + 1, max_factor_degree)
+    return _report(_key(target, exponents, stop, denominator_degrees), nonnegative_through)
 
 
 def search_candidates(
@@ -223,7 +234,9 @@ def search_candidates(
     partial numerator T*Prod(1-x^b) of each prefix down the tree.  A factor
     (1-x^b) leaves every coefficient below b unchanged, so a prefix whose
     numerator is already negative below the next factor degree heads a
-    subtree in which nothing survives, and that subtree is skipped.
+    subtree in which nothing survives, and that subtree is skipped.  The
+    greedy pass goes down the tree with the prefix: a child ending in b runs
+    it on from its parent's degree to b, and a survivor finishes it.
     """
     _, keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
     return [_report(k, target.degree) for k in keys]
@@ -237,7 +250,9 @@ def _survivors(
     With a limit only the best `limit` keys are returned, and the pool never
     holds more than 2*limit: when it fills, it is cut back to its best
     `limit`, and from then on a key is kept only if it ranks above the worst
-    of those.  Keys are distinct, so no cut breaks a tie.
+    of those.  Keys are distinct, so no cut breaks a tie.  A survivor whose
+    match degree and size alone rank it below that worst key is counted
+    without building its key.
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
@@ -262,7 +277,7 @@ def _survivors(
     keys = []
     count = 0
     full = None if limit is None else 2 * limit
-    worst = None  # the limit-th key after the last cut
+    worst = head = None  # the limit-th key after the last cut, and its first two entries
 
     def times_one_minus(coeffs, b):
         # coefficients below b are unchanged, and b never passes the first
@@ -273,25 +288,49 @@ def _survivors(
             negative = b + next(j for j, c in enumerate(tail) if c < 0)
         return coeffs[:b] + tail, negative
 
-    def descend(prefix, coeffs, first_negative, next_lowest):
-        nonlocal count, keys, worst
+    def offer(prefix, exponents, stop):
+        # count one survivor whose greedy run stopped at degree stop, and pool its key
+        nonlocal count, keys, worst, head
+        count += 1
+        if head is not None and (1 - stop, sum(exponents[1:stop]) + len(prefix)) > head:
+            return  # below the worst kept key on match degree and size alone
+        key = _key(target, exponents, stop, prefix)
+        if worst is None or key < worst:
+            keys.append(key)
+            if len(keys) == full:
+                keys = heapq.nsmallest(limit, keys)
+                worst = keys[-1]
+                head = worst[:2]
+
+    def descend(prefix, coeffs, first_negative, next_lowest, exponents, k):
+        # exponents holds a greedy run done below degree k, the prefix's last
+        # factor degree unless the run stopped earlier or passed the truncation
         if len(prefix) >= smallest and first_negative == nonnegative:
-            count += 1
-            key = _fit(target, target_exponents, prefix, max_factor_degree)
-            if worst is None or key < worst:
-                keys.append(key)
-                if len(keys) == full:
-                    keys = heapq.nsmallest(limit, keys)
-                    worst = keys[-1]
+            finished = exponents.copy()
+            offer(prefix, finished, _extract(finished, k, degree + 1, max_factor_degree))
         if len(prefix) < largest:
+            # a leaf survives iff coeffs[i] >= coeffs[i-b] for every i >= b, and
+            # only a survivor needs its run, which it takes to the end at once
+            leaves = len(prefix) + 1 == largest
             for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
-                descend(prefix + (b,), *times_one_minus(coeffs, b), b)
+                if leaves and not all(map(ge, coeffs[b:], coeffs)):
+                    continue
+                child = exponents.copy()
+                if b <= degree:
+                    child[b] -= 1
+                stop = _extract(child, k, degree + 1 if leaves else b, max_factor_degree)
+                if leaves:
+                    offer(prefix + (b,), child, stop)
+                else:
+                    descend(prefix + (b,), *times_one_minus(coeffs, b), b, child, stop)
 
     coeffs = list(target.coeffs)
     if not anchored:
         first_negative = next((n for n, c in enumerate(coeffs) if c < 0), nonnegative)
-        descend((), coeffs, first_negative, 1)
+        descend((), coeffs, first_negative, 1, target_exponents, 1)
     elif largest >= 1:
         # the one degree-1 factor goes first; the rest are drawn from 2 up
-        descend((1,), *times_one_minus(coeffs, 1), 2)
+        target_exponents[1] -= 1
+        stop = _extract(target_exponents, 1, 2, max_factor_degree)
+        descend((1,), *times_one_minus(coeffs, 1), 2, target_exponents, stop)
     return count, sorted(keys)[:limit]

@@ -467,13 +467,16 @@ def test_fit_mismatch_matches_expansion_for_every_small_denominator():
 @pytest.mark.parametrize(
     "options, count",
     [
-        ({"free_generators": 9, "max_factor_degree": 9}, 4862),
-        ({"max_total_factors": 5, "max_factor_degree": 7}, 201),  # a size sweep
+        ({"target": TARGET_F, "free_generators": 9, "max_factor_degree": 9}, 4862),
+        # a size sweep
+        ({"target": TARGET_F, "max_total_factors": 5, "max_factor_degree": 7}, 201),
+        # factor degrees past the truncation, which have no exponent e_b to lower
+        ({"target": Series([1, 2, 2, 2, 2]), "max_total_factors": 3, "max_factor_degree": 6}, 36),
     ],
 )
 def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
     args = (
-        TARGET_F,
+        options["target"],
         options.get("free_generators"),
         options["max_factor_degree"],
         options.get("max_total_factors"),
@@ -482,7 +485,7 @@ def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
     assert total == len(keys) == count
     assert keys == sorted(keys)
     # every survivor, in the same order, is a report of search_candidates
-    reports = search_candidates(TARGET_F, **options)
+    reports = search_candidates(**options)
     assert [r.candidate.denominator_degrees for r in reports] == [k[2] for k in keys]
     # small limits cut the pool many times; count // 2 fills it on the last survivor or
     # the one before; the largest limits never cut
@@ -504,3 +507,21 @@ def test_bounded_survivors_hold_memory_by_limit_not_by_survivor_count():
         tracemalloc.stop()
     assert (count, len(keys)) == (17241, 10)
     assert peak < 2_000_000, f"traced peak {peak} bytes"
+
+
+def test_walk_keys_match_one_shot_fits_on_the_2x2_series():
+    # the walk carries each greedy run down the tree; fitting every survivor
+    # from scratch must give the same match degree, numerator and mismatch
+    target = read_series_file(SERIES_2X2_D16)
+    count, keys = _survivors(target, 10, 10, None)
+    assert count == len(keys) == 17241
+    for negative_match, _, dens, numerator_degrees, mismatch in keys:
+        report = fit_denominator(target, dens, max_factor_degree=10)
+        assert report.match_degree == -negative_match
+        assert report.candidate.numerator_degrees == numerator_degrees
+        assert report.first_mismatch == mismatch
+    # past the first cut most survivors rank below the worst kept key on match
+    # degree and size alone; at limit 10 some share both with it (-9, 22)
+    assert keys[9][:2] == (-9, 22) and keys[10][:2] == (-9, 22)
+    for limit in (1, 3, 10, 100):
+        assert _survivors(target, 10, 10, None, limit) == (count, keys[:limit])
