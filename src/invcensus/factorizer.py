@@ -249,10 +249,13 @@ def _survivors(
 
     With a limit only the best `limit` keys are returned, and the pool never
     holds more than 2*limit: when it fills, it is cut back to its best
-    `limit`, and from then on a key is kept only if it ranks above the worst
-    of those.  Keys are distinct, so no cut breaks a tie.  A survivor whose
-    match degree and size alone rank it below that worst key is counted
-    without building its key.
+    `limit`, and from then on a survivor whose match degree and size alone
+    rank it at or below the worst of those is counted without building its
+    key.  Keys are distinct, so no cut breaks a tie, and a tie on match
+    degree and size is decided by the denominator: the walk offers
+    denominators in increasing order, so the later survivor ranks after
+    every key already kept.  Every key that is built therefore ranks above
+    the worst kept one.
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
@@ -277,7 +280,7 @@ def _survivors(
     keys = []
     count = 0
     full = None if limit is None else 2 * limit
-    worst = head = None  # the limit-th key after the last cut, and its first two entries
+    head = None  # the first two entries of the limit-th key after the last cut
 
     def times_one_minus(coeffs, b):
         # coefficients below b are unchanged, and b never passes the first
@@ -290,17 +293,14 @@ def _survivors(
 
     def offer(prefix, exponents, stop):
         # count one survivor whose greedy run stopped at degree stop, and pool its key
-        nonlocal count, keys, worst, head
+        nonlocal count, keys, head
         count += 1
-        if head is not None and (1 - stop, sum(exponents[1:stop]) + len(prefix)) > head:
-            return  # below the worst kept key on match degree and size alone
-        key = _key(target, exponents, stop, prefix)
-        if worst is None or key < worst:
-            keys.append(key)
-            if len(keys) == full:
-                keys = heapq.nsmallest(limit, keys)
-                worst = keys[-1]
-                head = worst[:2]
+        if head is not None and (1 - stop, sum(exponents[1:stop]) + len(prefix)) >= head:
+            return  # at or below the worst kept key on match degree and size alone
+        keys.append(_key(target, exponents, stop, prefix))
+        if len(keys) == full:
+            keys = heapq.nsmallest(limit, keys)
+            head = keys[-1][:2]
 
     def descend(prefix, coeffs, first_negative, next_lowest, exponents, k):
         # exponents holds a greedy run done below degree k, the prefix's last

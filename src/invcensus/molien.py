@@ -17,6 +17,15 @@ N1·N2 zero weights contribute only the scalar 1/(1 - t)^(N1·N2): one pass
 over prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
 division, each level is Haar-averaged to g_n, and
 F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
+
+The Haar average reads only the keys in the Weyl factor's support, so the
+product keeps only keys that can still reach the factor's per-digit range
+[lo_i, hi_i].  Each step moves each digit by at most 1 and raises the level
+by 1, so a key at level k whose digit i lies farther than D - k from
+[lo_i, hi_i] has no descendant in that range at any level up to D, and it is
+dropped when it would first enter its level.  This is exact: every path to a
+kept key passes only through keys within reach, so each kept key keeps its
+full coefficient, and no dropped key is in the Weyl factor's support.
 """
 
 from math import comb, factorial
@@ -76,26 +85,68 @@ def _weight_steps(problem: CensusProblem, base: int) -> tuple:
     return sorted(steps), zeros
 
 
-def _product_levels(origin: int, steps: list, max_degree: int) -> list:
-    """h'_0 .. h'_max_degree, multiplying in 1/(1 - t z^w) for each packed step."""
+def _digit_ranges(keys, base: int, ndigits: int) -> list:
+    """Per digit i, the (min, max) of key // base^i % base over the keys."""
+    ranges = []
+    for i in range(ndigits):
+        digits = {key // base**i % base for key in keys}
+        ranges.append((min(digits), max(digits)))
+    return ranges
+
+
+def _reach_tests(reach: list, off: int, base: int, max_degree: int) -> list:
+    """Per level k, the digit tests a key must pass to still reach `reach`.
+
+    A level-k digit lies in off ± k and moves by at most 1 a level, so it can
+    reach [lo, hi] by level max_degree only from [lo - s, hi + s], s =
+    max_degree - k.  A test (base^(i+1), base^i, low, high) is kept only for
+    a digit whose window cuts inside off ± k.
+    """
+    tests = []
+    for k in range(max_degree + 1):
+        slack, level = max_degree - k, []
+        for i, (lo, hi) in enumerate(reach):
+            low, high = max(lo - slack, off - k), min(hi + slack, off + k)
+            if (low, high) != (off - k, off + k):
+                level.append((base ** (i + 1), base**i, low, high))
+        tests.append(tuple(level))
+    return tests
+
+
+def _product_levels(origin: int, steps: list, max_degree: int, tests: list) -> list:
+    """h'_0 .. h'_max_degree, multiplying in 1/(1 - t z^w) for each packed step,
+    without the keys that fail their level's digit tests."""
     levels = [{origin: 1}] + [{} for _ in range(max_degree)]
     for step in steps:
         for k in range(1, max_degree + 1):
-            level = levels[k]
-            get = level.get
+            level, cuts = levels[k], tests[k]
             for e, c in levels[k - 1].items():
                 key = e + step
-                level[key] = get(key, 0) + c
+                if key in level:
+                    level[key] += c
+                    continue
+                # a key is tested only when it would enter the level
+                for m, p, low, high in cuts:
+                    if not low <= key % m // p <= high:
+                        break
+                else:
+                    level[key] = c
     return levels
 
 
-def _complete_homogeneous_levels(problem: CensusProblem, max_degree: int) -> tuple:
+def _complete_homogeneous_levels(problem: CensusProblem, max_degree: int, reach: list) -> tuple:
     """Packed levels h'_0 .. h'_max_degree of the nonzero weights, the number
-    of zero weights, and the digit offset of the keys."""
+    of zero weights, and the digit offset of the keys.
+
+    reach holds one (lo, hi) range of packed digits per root coordinate: the
+    levels keep only the keys that can still reach it by level max_degree,
+    each with its exact coefficient.  The whole box [0, 2·off] drops nothing.
+    """
     off = _offset(problem, max_degree)
     base, ndigits = 2 * off + 1, _ndigits(problem)
     steps, zeros = _weight_steps(problem, base)
-    levels = _product_levels(_packed([off] * ndigits, base), steps, max_degree)
+    tests = _reach_tests(reach, off, base, max_degree)
+    levels = _product_levels(_packed([off] * ndigits, base), steps, max_degree, tests)
     # Each root coordinate of h'_n is at most n; a violation means corrupt
     # arithmetic.  One digit per pass costs far less than unpacking each key.
     for n, level in enumerate(levels):
@@ -103,9 +154,8 @@ def _complete_homogeneous_levels(problem: CensusProblem, max_degree: int) -> tup
             continue
         if min(level) < 0 or max(level) >= base**ndigits:
             raise ConsistencyError(f"h_{n} has a key past the bound {base}^{ndigits}")
-        for i in range(ndigits):
-            digits = {key // base**i % base for key in level}
-            if min(digits) < off - n or max(digits) > off + n:
+        for low, high in _digit_ranges(level, base, ndigits):
+            if low < off - n or high > off + n:
                 raise ConsistencyError(f"h_{n} has an exponent past the bound {n}")
     return levels, zeros, off
 
@@ -160,8 +210,10 @@ def molien_series(
 ) -> Series:
     """Molien series of the problem through max_degree."""
     _require_degree("max_degree", max_degree, degree_limit)
-    levels, zeros, off = _complete_homogeneous_levels(problem, max_degree)
+    off = _offset(problem, max_degree)
     weyl = _weyl_factor(problem, off)
+    reach = _digit_ranges(weyl, 2 * off + 1, _ndigits(problem))
+    levels, zeros, _ = _complete_homogeneous_levels(problem, max_degree, reach)
     averages = [_haar_average(level, weyl, problem) for level in levels]
     scalar = _zero_weight_scalar(zeros, max_degree)
     coeffs = []

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import invcensus.factorizer as factorizer
 from invcensus.errors import ConsistencyError
 from invcensus.factorizer import (
     FitReport,
@@ -525,3 +526,23 @@ def test_walk_keys_match_one_shot_fits_on_the_2x2_series():
     assert keys[9][:2] == (-9, 22) and keys[10][:2] == (-9, 22)
     for limit in (1, 3, 10, 100):
         assert _survivors(target, 10, 10, None, limit) == (count, keys[:limit])
+
+
+def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
+    # the walk offers denominators in increasing order, so a survivor that ties
+    # the worst kept key on match degree and size ranks after it and is counted
+    # without a key; at limit 100 three survivors tie the 100th key itself
+    target = read_series_file(SERIES_2X2_D16)
+    count, keys = _survivors(target, 10, 10, None)
+    assert [k[:2] for k in keys[99:103]] == [(-9, 23)] * 4
+    built = []
+    make_key = factorizer._key
+
+    def recorded(*args):
+        built.append(make_key(*args))
+        return built[-1]
+
+    monkeypatch.setattr(factorizer, "_key", recorded)
+    assert _survivors(target, 10, 10, None, 100) == (count, keys[:100])
+    # building a key for every tie would make this 427
+    assert len(built) == 237

@@ -18,10 +18,15 @@ def power_sum(problem, m):
     return Counter(tuple(m * c for c in w) for w in molien._weights(problem))
 
 
+def whole_box(problem, n):
+    """The digit range of every key to degree n, which drops no key."""
+    return [(0, 2 * molien._offset(problem, n))] * molien._ndigits(problem)
+
+
 def complete_homogeneous(problem, n):
     """h_n of the adjoint eigenvalues, zero weights included, on packed keys,
     with the key offset."""
-    levels, zeros, off = molien._complete_homogeneous_levels(problem, n)
+    levels, zeros, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
     terms = Counter()
     for k, scalar in enumerate(molien._zero_weight_scalar(zeros, n)):
         for key, c in levels[n - k].items():
@@ -129,7 +134,7 @@ def test_complete_homogeneous_counts_multisets(problem):
     # at x = 1, h_n counts the degree-n multisets of the N1^2 * N2^2 eigenvalues:
     # sum_k C(k + N1·N2 - 1, k) · (sum of h'_{n-k}) = C(N1^2·N2^2 + n - 1, n)
     dim = problem.n1**2 * problem.n2**2
-    levels, zeros, _ = molien._complete_homogeneous_levels(problem, 6)
+    levels, zeros, _ = molien._complete_homogeneous_levels(problem, 6, whole_box(problem, 6))
     scalar = molien._zero_weight_scalar(zeros, 6)
     for n in range(7):
         total = sum(scalar[k] * sum(levels[n - k].values()) for k in range(n + 1))
@@ -170,7 +175,7 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
     problem = CensusProblem(2, 1)
     monkeypatch.setattr(molien, "_weights", lambda problem: [(5,)])
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien._complete_homogeneous_levels(problem, 1)
+        molien._complete_homogeneous_levels(problem, 1, whole_box(problem, 1))
     with pytest.raises(ConsistencyError, match="past the bound"):
         molien_series(problem, 1)
 
@@ -202,7 +207,7 @@ def test_pack_unpack_round_trip_over_the_box(n1, n2):
 
 def test_trivial_system_levels_are_empty_above_zero():
     # 1x1 has r = 0 root coordinates and only its one zero weight
-    levels, zeros, off = molien._complete_homogeneous_levels(CensusProblem(1, 1), 4)
+    levels, zeros, off = molien._complete_homogeneous_levels(CensusProblem(1, 1), 4, [])
     assert zeros == 1
     assert levels == [{0: 1}, {}, {}, {}, {}]
 
@@ -224,8 +229,8 @@ def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
     stray = {"above the box": base, "below the box": -base, "digit past n": 2}[shift]
     product_levels = molien._product_levels
 
-    def corrupted(origin, steps, max_degree):
-        levels = product_levels(origin, steps, max_degree)
+    def corrupted(origin, steps, max_degree, tests):
+        levels = product_levels(origin, steps, max_degree, tests)
         levels[1][origin + stray] = 1
         return levels
 
@@ -233,7 +238,63 @@ def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
     with pytest.raises(ConsistencyError, match="past the bound"):
         molien_series(problem, 2)
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien._complete_homogeneous_levels(problem, 2)
+        molien._complete_homogeneous_levels(problem, 2, whole_box(problem, 2))
+
+
+def weyl_reach(problem, n):
+    """The Weyl factor's per-digit range, as molien_series passes it down."""
+    off = molien._offset(problem, n)
+    weyl = molien._weyl_factor(problem, off)
+    return molien._digit_ranges(weyl, 2 * off + 1, molien._ndigits(problem))
+
+
+def unpruned_series(problem, n):
+    """F_0 .. F_n from the whole-box product, which drops no key."""
+    levels, zeros, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    weyl = molien._weyl_factor(problem, off)
+    averages = [molien._haar_average(level, weyl, problem) for level in levels]
+    scalar = molien._zero_weight_scalar(zeros, n)
+    return Series([sum(scalar[k] * averages[m - k] for k in range(m + 1)) for m in range(n + 1)])
+
+
+@pytest.mark.parametrize(
+    "n1, n2, n", [(n1, n2, 8) for n1 in (1, 2, 3) for n2 in (1, 2, 3)] + [(2, 2, 30)]
+)
+def test_pruned_series_equals_the_whole_box_product(n1, n2, n):
+    problem = CensusProblem(n1, n2)
+    assert molien_series(problem, n, n) == unpruned_series(problem, n)
+
+
+def test_pruned_levels_are_the_full_levels_within_reach():
+    # a level-k key is kept iff each root coordinate c_i lies within n - k of
+    # the Weyl factor's range [lo_i, hi_i], which for U(N) is +-floor(N^2/4)
+    problem, n = CensusProblem(2, 3), 8
+    off = molien._offset(problem, n)
+    reach = weyl_reach(problem, n)
+    assert [(lo - off, hi - off) for lo, hi in reach] == [(-1, 1), (-2, 2), (-2, 2)]
+    pruned, _, _ = molien._complete_homogeneous_levels(problem, n, reach)
+    full, _, _ = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    for k, (kept, level) in enumerate(zip(pruned, full)):
+        within = {
+            key: c
+            for key, c in level.items()
+            if all(
+                lo - (n - k) <= c_i + off <= hi + (n - k)
+                for c_i, (lo, hi) in zip(unpacked(key, off, 3), reach)
+            )
+        }
+        assert kept == within
+    assert len(pruned[n]) < len(full[n])
+
+
+@pytest.mark.parametrize("problem", [CensusProblem(2, 2), CensusProblem(2, 3)])
+def test_pruned_levels_inversion_symmetric(problem):
+    # the Weyl factor's range is symmetric about the origin, so the kept keys are too
+    n = 10
+    levels, _, off = molien._complete_homogeneous_levels(problem, n, weyl_reach(problem, n))
+    center = origin_key(problem, off)
+    for level in levels:
+        assert {2 * center - key: c for key, c in level.items()} == level
 
 
 @pytest.mark.parametrize(
