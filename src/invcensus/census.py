@@ -62,7 +62,7 @@ def _census(problem: CensusProblem, max_degree: int) -> list[int]:
     rows = min(max(problem.n1, problem.n2), max_degree)
     narrow = min(problem.n1, problem.n2, max_degree)
     degrees = range(max_degree + 1)
-    # shapes of each size as bead tuples, those with at most `narrow` rows first
+    # shapes of each size as beta-set masks, those with at most `narrow` rows first
     shapes = [
         [_beads(p, rows) for p in sorted(partitions_of(m, rows), key=len)]
         for m in degrees

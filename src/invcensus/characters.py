@@ -1,17 +1,17 @@
 """Irreducible characters of the symmetric group: one Murnaghan-Nakayama kernel.
 
-A shape with at most K rows is its K-bead beta-set, largest bead first, and
-adding a border strip of length r moves a bead from b to a free b + r, with
-sign (-1)^(beads jumped).  The walk appends the parts of each cycle type rho
-in nondecreasing order, depth-first, carrying chi(rho) over a family of shapes
-of each size: the census keeps those with at most max(N1, N2) rows, and the
-rows of S_n are read off a walk over the shapes inside the irreducibles asked
-for (all of them for a table).  A point value adds the strips of rho to the
-empty shape inside lambda, memoized.
+A shape with at most K rows is its K-bead beta-set, a bit mask with bit b set
+for each bead b, and removing a border strip of length r moves a bead from b
+to a free b - r, with sign (-1)^(beads jumped).  The walk appends the parts of
+each cycle type rho in nondecreasing order, depth-first, carrying chi(rho) over
+a family of shapes of each size: the census keeps those with at most
+max(N1, N2) rows, and the rows of S_n are read off a walk over the shapes
+inside the irreducibles asked for (all of them for a table).  Its moves pair
+each kept shape with the kept shapes one strip smaller.  A point value removes
+the strips of rho from lambda down to the empty shape, memoized.
 """
 
 from functools import cache, lru_cache
-from operator import le
 
 from .errors import ResourceLimitError, require_int
 from .partitions import Partition, as_partition, common_weight, partitions_of
@@ -20,47 +20,46 @@ from .partitions import Partition, as_partition, common_weight, partitions_of
 DEFAULT_MAX_TABLE_N = 16
 
 
-def _beads(shape: tuple[int, ...], rows: int) -> tuple[int, ...]:
-    """The rows-bead beta-set of a shape with at most `rows` rows, largest first."""
+def _beads(shape: tuple[int, ...], rows: int) -> int:
+    """The rows-bead beta-set of a shape with at most `rows` rows, as a bit mask."""
     padded = shape + (0,) * (rows - len(shape))
-    return tuple(part + rows - 1 - i for i, part in enumerate(padded))
+    return sum(1 << (part + rows - 1 - i) for i, part in enumerate(padded))
 
 
-def _strip_additions(beads: tuple[int, ...], length: int):
-    """Yield (grown beads, sign) for each border strip of `length` added to a shape.
+def _strip_removals(beads: int, length: int):
+    """Yield (smaller beads, sign) for each border strip of `length` removed.
 
-    The strip moves bead b to a free b + length; its height is the beads jumped.
+    The strip moves a bead from b to a free b - length; its height is the
+    beads jumped, those strictly between the two.
     """
-    for i, bead in enumerate(beads):
-        target = bead + length
-        j = i
-        while j and beads[j - 1] < target:
-            j -= 1
-        if j and beads[j - 1] == target:
-            continue
-        grown = beads[:j] + (target,) + beads[j:i] + beads[i + 1 :]
-        yield grown, -1 if (i - j) % 2 else 1
+    free = (beads >> length) & ~beads  # bit t: a bead at t + length, none at t
+    while free:
+        slot = free & -free
+        free ^= slot
+        jumped = (beads >> slot.bit_length()) & ((1 << (length - 1)) - 1)
+        yield beads ^ slot ^ (slot << length), -1 if jumped.bit_count() % 2 else 1
 
 
-def _walk(shapes: list[list[tuple[int, ...]]], visit) -> None:
+def _walk(shapes: list[list[int]], visit) -> None:
     """Call visit(m, z, chars) once for each cycle type rho of each m < len(shapes).
 
-    chars[i] is chi(rho) of shapes[m][i], the kept bead tuples of size m, and z
-    is rho's centralizer order.  A strip leaving the kept shapes is dropped,
-    exact when they are closed under strip removal.  Parts are appended in
-    nondecreasing order, so S_m's classes come in lexicographic order of rho[::-1].
+    chars[i] is chi(rho) of shapes[m][i], the kept beta-sets of size m, and z
+    is rho's centralizer order.  The kept shapes must be closed under strip
+    removal, so that each strip move pairs a kept shape with a kept shape one
+    strip smaller.  Parts are appended in nondecreasing order, so S_m's classes
+    come in lexicographic order of rho[::-1].
     """
     top = len(shapes) - 1
+    indexes = [{beads: i for i, beads in enumerate(level)} for level in shapes]
     # (source, target) index pairs of the +1 and -1 strip moves, by (size, length)
     moves = {}
-    for m, sources in enumerate(shapes):
-        for length in range(1, top - m + 1):
-            index = {beads: i for i, beads in enumerate(shapes[m + length])}
-            plus, minus = moves[m, length] = [], []
-            for source, beads in enumerate(sources):
-                for grown, sign in _strip_additions(beads, length):
-                    if grown in index:
-                        (plus if sign > 0 else minus).append((source, index[grown]))
+    for size, targets in enumerate(shapes):
+        for length in range(1, size + 1):
+            index = indexes[size - length]
+            plus, minus = moves[size - length, length] = [], []
+            for target, beads in enumerate(targets):
+                for smaller, sign in _strip_removals(beads, length):
+                    (plus if sign > 0 else minus).append((index[smaller], target))
 
     def grow(m: int, chars: list[int], last: int, repeats: int, z: int) -> None:
         visit(m, z, chars)
@@ -79,16 +78,14 @@ def _walk(shapes: list[list[tuple[int, ...]]], visit) -> None:
 
 @lru_cache(maxsize=None)
 def _character(shape: Partition, cycles: Partition) -> int:
-    outline = _beads(shape, len(shape))
-    values = {_beads((), len(shape)): 1}
+    values = {_beads(shape, len(shape)): 1}
     for length in cycles:
-        grown_values = {}
+        smaller_values = {}
         for beads, value in values.items():
-            for grown, sign in _strip_additions(beads, length):
-                if all(map(le, grown, outline)):
-                    grown_values[grown] = grown_values.get(grown, 0) + sign * value
-        values = grown_values
-    return values.get(outline, 0)
+            for smaller, sign in _strip_removals(beads, length):
+                smaller_values[smaller] = smaller_values.get(smaller, 0) + sign * value
+        values = smaller_values
+    return sum(values.values())  # at most one entry: the empty shape
 
 
 def character(irrep: Partition, cycle_type: Partition) -> int:
@@ -134,21 +131,16 @@ def _walk_rows(irreps) -> dict[Partition, tuple[int, ...]]:
     """chi of each of `irreps` (all of one size n) on every class of S_n.
 
     One unmemoized walk over the shapes inside one of `irreps`, listed from the
-    top by removing a box at a time (a bead b moves to a free b - 1).  Removing
-    a strip only shrinks a shape, so these shapes are closed under it and the
-    walk is exact.  Each row is in the order of partitions_of(n).
+    top by removing a box (a strip of length 1) at a time.  Removing a strip
+    only shrinks a shape, so these shapes are closed under it and the walk is
+    exact.  Each row is in the order of partitions_of(n).
     """
     top = list(dict.fromkeys(irreps))
     n = sum(top[0])
     rows = max(map(len, top))
     levels = [[_beads(shape, rows) for shape in top]]
     for _ in range(n):
-        smaller = (
-            beads[:i] + (bead - 1,) + beads[i + 1 :]
-            for beads in levels[-1]
-            for i, bead in enumerate(beads)
-            if bead and bead - 1 not in beads
-        )
+        smaller = (less for beads in levels[-1] for less, _ in _strip_removals(beads, 1))
         levels.append(list(dict.fromkeys(smaller)))
     found = []
     _walk(levels[::-1], lambda m, z, chars: m == n and found.append(chars))

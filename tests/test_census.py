@@ -168,17 +168,17 @@ def test_half_stable_range_is_the_partition_count():
 
 
 def test_inexact_class_sum_raises(monkeypatch):
-    # flip the sign of the box added to (2) in its second row, so that
+    # flip the sign of the box removed from (2,1) in its second row, so that
     # chi_(2,1)(1,1,1) = chi_(1,1)(1,1) - chi_(2)(1,1) = 0; the 3x3 class sum at
     # degree 3 becomes 1*2*2 + 3*2*2 + 2*3*3 = 34, which is not divisible by 3!
-    real = characters._strip_additions
-    flipped_move = (characters._beads((2,), 3), characters._beads((2, 1), 3))
+    real = characters._strip_removals
+    flipped_move = (characters._beads((2, 1), 3), characters._beads((2,), 3))
 
     def flipped(beads, length):
-        for grown, sign in real(beads, length):
-            yield grown, -sign if (beads, grown) == flipped_move else sign
+        for smaller, sign in real(beads, length):
+            yield smaller, -sign if (beads, smaller) == flipped_move else sign
 
-    monkeypatch.setattr(characters, "_strip_additions", flipped)
+    monkeypatch.setattr(characters, "_strip_removals", flipped)
     with pytest.raises(ConsistencyError, match="F_3 of 3x3 is 34/6, not an integer"):
         invariant_count(CensusProblem(3, 3), 3)
     with pytest.raises(ConsistencyError, match="not an integer"):

@@ -7,7 +7,7 @@ from invcensus.characters import (
     CharTable,
     _beads,
     _rows,
-    _strip_additions,
+    _strip_removals,
     _walk_rows,
     char_table,
     character,
@@ -201,25 +201,22 @@ def bead_strip_removals(shape, r):
 
 
 def test_strip_removals_match_bead_moves_up_to_n12():
-    # adding an r-strip to mu gives lam with height h exactly when removing it
-    # from lam gives mu with height h, so the adding kernel, run on 12 beads,
-    # must produce exactly the inverted removals of the oracle
-    rows = 12
-
-    def shape(beads):
-        parts = (b - (rows - 1 - k) for k, b in enumerate(beads))
+    # the kernel, run on the mask of lam with len(lam) beads and with 12, must
+    # remove exactly the strips of the oracle, to the same shapes and signs
+    def shape(beads, rows):
+        moved = [b for b in range(beads.bit_length() - 1, -1, -1) if beads >> b & 1]
+        parts = (b - (rows - 1 - k) for k, b in enumerate(moved))
         return tuple(part for part in parts if part)
 
-    added, removed = set(), set()
     for n in range(13):
         for lam in partitions_of(n):
-            for r in range(1, 13 - n):
-                for grown, sign in _strip_additions(_beads(lam, rows), r):
-                    added.add((lam, shape(grown), sign))
             for r in range(1, n + 1):
-                for reduced, height in bead_strip_removals(lam, r):
-                    removed.add((reduced, lam, (-1) ** height))
-    assert added == removed
+                expected = sorted(
+                    (reduced, (-1) ** height) for reduced, height in bead_strip_removals(lam, r)
+                )
+                for rows in (len(lam), 12):
+                    removed = _strip_removals(_beads(lam, rows), r)
+                    assert sorted((shape(b, rows), sign) for b, sign in removed) == expected
 
 
 def test_rows_match_point_queries_and_tables_up_to_n10():
@@ -232,3 +229,23 @@ def test_rows_match_point_queries_and_tables_up_to_n10():
             # the walk over the shapes inside lam alone, and inside lam and lam'
             assert _walk_rows([lam]) == {lam: expected}
             assert _walk_rows([lam, conjugate(lam)])[lam] == expected
+
+
+def test_point_queries_walk_down_from_lam_past_n10():
+    # a point value removes the strips of rho from lam's own mask: it must
+    # match the table walk through n = 12, the hook-length dimension on every
+    # shape of 20, and the sign twist of the conjugate on classes of 18
+    for n in range(13):
+        table = char_table(n)
+        for lam, row in zip(table.partitions, table.values):
+            assert tuple(character(lam, rho) for rho in table.partitions) == row
+    for lam in partitions_of(20):
+        assert character(lam, (1,) * 20) == dimension(lam)
+    classes = [(18,), (7, 6, 5), (4, 4, 3, 3, 2, 1, 1), (2,) * 9, (3, 3, 2, 2, 2) + (1,) * 6]
+    for lam in partitions_of(18):
+        for rho in classes:
+            sign = (-1) ** (18 - len(rho))
+            assert character(conjugate(lam), rho) == sign * character(lam, rho)
+    # the empty shape is the zero-bead mask, with nothing to remove
+    assert _beads((), 0) == 0
+    assert character((), ()) == 1
