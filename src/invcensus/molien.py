@@ -18,10 +18,13 @@ over prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
 division, each level is Haar-averaged to g_n, and
 F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
 
-The Haar average reads only the keys in the Weyl factor's support, so the
-product keeps only keys that can still reach the factor's per-digit range
-[lo_i, hi_i].  Each step moves each digit by at most 1 and raises the level
-by 1, so a key at level k whose digit i lies farther than D - k from
+The Weyl factor Delta(a)·Delta(b) is kept as its two block factors: a joint
+key is ka + kb·B^(N1-1), so the Haar average needs no joint product (on 5x5
+that product has 8.8 M keys).  It reads only the keys in the factor's
+support, so the product keeps only keys that can still reach the factor's
+per-digit range [lo_i, hi_i]: the a-block's ranges, then the b-block's.
+Each step moves each digit by at most 1 and raises the level by 1, so a key
+at level k whose digit i lies farther than D - k from
 [lo_i, hi_i] has no descendant in that range at any level up to D, and it is
 dropped when it would first enter its level.  This is exact: every path to a
 kept key passes only through keys within reach, so each kept key keeps its
@@ -165,18 +168,16 @@ def _zero_weight_scalar(zeros: int, max_degree: int) -> list:
     return [comb(k + zeros - 1, k) for k in range(max_degree + 1)]
 
 
-def _weyl_factor(problem: CensusProblem, off: int) -> dict:
-    """Delta(a)·Delta(b) on packed root-coordinate keys, with
-    Delta = prod over ordered pairs i != j of (1 - x_i/x_j).
+def _weyl_factor(size: int, off: int) -> dict:
+    """Delta = prod over ordered pairs i != j < size of (1 - x_i/x_j) for one
+    U(size) block, on packed root-coordinate keys of its size - 1 digits.
 
-    Every partial product has root coordinates within floor(N^2/4) <= off,
+    Every partial product has root coordinates within floor(size^2/4) <= off,
     so no digit carries.
     """
-    n1, n2, base = problem.n1, problem.n2, 2 * off + 1
-    roots = [r + (0,) * (n2 - 1) for r in _block_roots(n1) if any(r)]
-    roots += [(0,) * (n1 - 1) + r for r in _block_roots(n2) if any(r)]
-    product = {_packed([off] * _ndigits(problem), base): 1}
-    for root in roots:
+    base = 2 * off + 1
+    product = {_packed([off] * (size - 1), base): 1}
+    for root in filter(any, _block_roots(size)):
         step = _packed(root, base)
         out = dict(product)
         for e, c in product.items():
@@ -185,14 +186,25 @@ def _weyl_factor(problem: CensusProblem, off: int) -> dict:
     return {e: c for e, c in product.items() if c}
 
 
-def _haar_average(terms: dict, weyl: dict, problem: CensusProblem) -> int:
-    """(1/N1!N2!) · constant term of terms · weyl, as an exact integer.
+def _haar_average(terms: dict, weyl: tuple, split: int, problem: CensusProblem) -> int:
+    """(1/N1!N2!) · constant term of terms · Delta(a)·Delta(b), as an exact integer.
 
+    weyl is the block pair (Delta(a), Delta(b)) and a joint key is ka + kb·split.
     The roots come in pairs ±r, so the Weyl factor is invariant under
     inverting the variables and the constant term is sum_e terms[e]·weyl[e].
+    The sum runs over whichever side is smaller: the pairs of block keys, or
+    the keys of terms, each split into its two block keys.
     """
-    small, large = sorted((terms, weyl), key=len)
-    numerator = sum(c * large.get(e, 0) for e, c in small.items())
+    delta_a, delta_b = weyl
+    if len(delta_a) * len(delta_b) < len(terms):
+        numerator = 0
+        for kb, cb in delta_b.items():
+            shift = kb * split
+            numerator += cb * sum(ca * terms.get(ka + shift, 0) for ka, ca in delta_a.items())
+    else:
+        numerator = sum(
+            c * delta_a.get(e % split, 0) * delta_b.get(e // split, 0) for e, c in terms.items()
+        )
     order = factorial(problem.n1) * factorial(problem.n2)
     return exact_quotient(numerator, order, "Haar average for {}x{}", problem.n1, problem.n2)
 
@@ -211,10 +223,13 @@ def molien_series(
     """Molien series of the problem through max_degree."""
     _require_degree("max_degree", max_degree, degree_limit)
     off = _offset(problem, max_degree)
-    weyl = _weyl_factor(problem, off)
-    reach = _digit_ranges(weyl, 2 * off + 1, _ndigits(problem))
+    base = 2 * off + 1
+    weyl = _weyl_factor(problem.n1, off), _weyl_factor(problem.n2, off)
+    reach = _digit_ranges(weyl[0], base, problem.n1 - 1)
+    reach += _digit_ranges(weyl[1], base, problem.n2 - 1)
     levels, zeros, _ = _complete_homogeneous_levels(problem, max_degree, reach)
-    averages = [_haar_average(level, weyl, problem) for level in levels]
+    split = base ** (problem.n1 - 1)
+    averages = [_haar_average(level, weyl, split, problem) for level in levels]
     scalar = _zero_weight_scalar(zeros, max_degree)
     coeffs = []
     for n in range(max_degree + 1):

@@ -1,0 +1,250 @@
+"""One table of the cross-route checks, and the runner for the long checks.
+
+The census route (S_n characters) and the Molien route (Weyl constant terms)
+share no counting code, so their agreement is what the counts stand on.  Each
+row of ROUTES names a system N1 x N2 and a degree.  Every row compares the
+census series, the Molien series and the census series of the swapped system
+N2 x N1; a row with a closed form compares that too.  A tier-1 row runs
+in-process in tests/test_cross_routes.py.  A CI row runs as CLI processes
+(`molien --check`, then `census` on the swapped system) under a peak-RSS
+bound, and so do the other long checks in LONG, each with its pinned
+expectation.
+
+Run every CI row, one child process and one printed line each:
+
+    python tests/cross_routes.py
+
+It exits nonzero if any row fails.  It uses only the standard library and
+puts src/ on the children's PYTHONPATH.  Peak RSS is the child's ru_maxrss
+from os.wait4, which Linux reports in KiB.
+"""
+
+import json
+import os
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from math import factorial, prod
+from pathlib import Path
+from typing import Callable
+
+ROOT = Path(__file__).resolve().parents[1]
+TIER1, CI = "tier-1", "CI"
+
+
+def one_by(n: int) -> tuple:
+    """The 1 x N closed form prod_{k<=N} 1/(1 - t^k): U(1) acts trivially and
+    the ring is generated by tr rho^k, k = 1..N."""
+    return {0: 1}, tuple(range(1, n + 1))
+
+
+# The exact 2 x 2 Hilbert series:
+# (1 - t^2 - t^3 + 2t^4 + 2t^5 + 2t^6 - t^7 - t^8 + t^10)
+#   / ((1-t)(1-t^2)^4(1-t^3)^3(1-t^4)^2)
+TWO_BY_TWO = (
+    {0: 1, 2: -1, 3: -1, 4: 2, 5: 2, 6: 2, 7: -1, 8: -1, 10: 1},
+    (1, 2, 2, 2, 2, 3, 3, 3, 4, 4),
+)
+
+
+def expand(form: tuple, top: int) -> list:
+    """Coefficients through t^top of numerator(t) / prod_d (1 - t^d)."""
+    numerator, denominator = form
+    coeffs = [numerator.get(n, 0) for n in range(top + 1)]
+    for d in denominator:
+        for n in range(d, top + 1):
+            coeffs[n] += coeffs[n - d]
+    return coeffs
+
+
+def dimension(shape) -> int:
+    """f^shape, the number of standard tableaux: n! over the hook lengths."""
+    columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
+    hooks = prod(part - j + columns[j] - i - 1 for i, part in enumerate(shape) for j in range(part))
+    return factorial(sum(shape)) // hooks
+
+
+@dataclass(frozen=True)
+class Route:
+    """One cross-route row: N1 x N2 to `degree`, in tier-1 or in CI.
+
+    closed_form is a (numerator, denominator degrees) pair or None; rss_mb
+    bounds each CI child's peak RSS.
+    """
+
+    n1: int
+    n2: int
+    degree: int
+    where: str = TIER1
+    closed_form: tuple | None = None
+    rss_mb: int | None = None
+
+    def __str__(self):
+        return f"{self.n1}x{self.n2}-to-{self.degree}"
+
+
+# Every 1 <= N1 <= N2 <= 5 has a row.  The 2x1 and 3x2 rows run the Molien
+# route with the larger block first; their swaps run the census both ways.
+ROUTES = (
+    Route(1, 1, 12, closed_form=one_by(1)),
+    Route(2, 1, 12, closed_form=one_by(2)),
+    Route(1, 3, 12, closed_form=one_by(3)),
+    Route(1, 4, 12, closed_form=one_by(4)),
+    Route(1, 5, 10, closed_form=one_by(5)),
+    Route(2, 2, 32, closed_form=TWO_BY_TWO),
+    Route(3, 2, 20),
+    Route(2, 4, 8),
+    Route(2, 5, 6),
+    Route(3, 3, 10),
+    Route(3, 4, 5),
+    Route(3, 5, 4),
+    Route(4, 4, 4),
+    Route(2, 2, 40, CI, TWO_BY_TWO, rss_mb=30),
+    Route(2, 3, 24, CI, rss_mb=40),
+    Route(3, 3, 12, CI, rss_mb=40),
+    Route(4, 5, 3, CI, rss_mb=40),
+    Route(5, 5, 3, CI, rss_mb=60),
+)
+
+
+@dataclass(frozen=True)
+class Job:
+    """One CI child: `python -m invcensus *argv --format json`.
+
+    expect(result, earlier) lists why the JSON result fails the row; earlier
+    maps the names of the rows run before it to their results.
+    """
+
+    name: str
+    argv: tuple
+    rss_mb: int
+    expect: Callable
+
+
+def _degrees(degree: int) -> tuple:
+    return "--max-degree", str(degree), "--degree-limit", str(degree)
+
+
+def _check_name(route: Route) -> str:
+    return f"molien {route} --check"
+
+
+def _prefix_of(name: str, degree: int) -> Callable:
+    """The series through `degree` equals that of the earlier row `name`."""
+
+    def expect(result, earlier):
+        if name not in earlier:
+            return [f"{name} gave no result"]
+        if result["coefficients"][: degree + 1] != earlier[name]["coefficients"]:
+            return [f"series through degree {degree} differs from {name}"]
+        return []
+
+    return expect
+
+
+def _route_jobs(route: Route) -> list:
+    """`molien --check` on the row, and `census` on its swap if N1 != N2."""
+    check = _check_name(route)
+
+    def agrees(result, earlier):
+        failures = [] if result.get("census_agreement") == "OK" else ["no census agreement"]
+        if route.closed_form and result["coefficients"] != expand(route.closed_form, route.degree):
+            failures.append("series differs from the closed form")
+        return failures
+
+    system = ("--n1", str(route.n1), "--n2", str(route.n2))
+    argv = ("molien", *system, *_degrees(route.degree), "--check")
+    jobs = [Job(check, argv, route.rss_mb, agrees)]
+    if route.n1 != route.n2:
+        swap = ("--n1", str(route.n2), "--n2", str(route.n1))
+        name = f"census {route.n2}x{route.n1}-to-{route.degree} (swap)"
+        swapped = _prefix_of(check, route.degree)
+        jobs.append(Job(name, ("census", *swap, *_degrees(route.degree)), route.rss_mb, swapped))
+    return jobs
+
+
+def _equals(key: str, value) -> Callable:
+    def expect(result, earlier):
+        return [] if result[key] == value else [f"{key} is {result[key]}, expected {value}"]
+
+    return expect
+
+
+def _dimensions_multiply(lam: tuple, mu: tuple) -> Callable:
+    """sum_nu g(lam, mu, nu)·f^nu = f^lam·f^mu: chi_lam·chi_mu at the identity."""
+
+    def expect(result, earlier):
+        total = sum(t["multiplicity"] * dimension(t["partition"]) for t in result["terms"])
+        product = dimension(lam) * dimension(mu)
+        if total != product:
+            return [f"sum of g·f^nu is {total}, expected f^lam·f^mu = {product}"]
+        return []
+
+    return expect
+
+
+def _factor(cap: int) -> tuple:
+    series = str(ROOT / "bench" / "series-2x2-d16.json")
+    return ("factor", "--series-file", series, "--free-generators", "10",
+            "--max-factor-degree", str(cap), "--limit", "3")
+
+
+SHAPE_40 = (12, 10, 8, 6, 4)
+LONG = (
+    Job("census 3x3-to-28", ("census", "--n1", "3", "--n2", "3", *_degrees(28)), 30,
+        _prefix_of(_check_name(Route(3, 3, 12)), 12)),
+    Job("kron 6,6,6 9,5,4", ("kron", "6,6,6", "9,5,4"), 30,
+        _dimensions_multiply((6, 6, 6), (9, 5, 4))),
+    Job("factor 2x2-to-16 cap 12", _factor(12), 30, _equals("candidate_count", 75302)),
+    Job("factor 2x2-to-16 cap 14", _factor(14), 40, _equals("candidate_count", 257650)),
+    Job("char (12,10,8,6,4) at 1^40", ("char", ",".join(map(str, SHAPE_40)), ",".join(["1"] * 40)),
+        30, _equals("value", dimension(SHAPE_40))),
+)
+
+JOBS = tuple(job for route in ROUTES if route.where == CI for job in _route_jobs(route)) + LONG
+
+
+def judge(job: Job, status: int, stdout: str, peak_mb: float, earlier: dict) -> list:
+    """Why a finished child fails its row, empty if it passes.  A child that
+    exits 0 leaves its JSON result in earlier for the rows after it."""
+    if status != 0:
+        return [f"exit status {status}"]
+    result = json.loads(stdout)["result"]
+    earlier[job.name] = result
+    failures = job.expect(result, earlier)
+    if peak_mb > job.rss_mb:
+        failures.append(f"peak RSS {peak_mb:.1f} MB above {job.rss_mb} MB")
+    return failures
+
+
+def run(argv: tuple) -> tuple:
+    """(exit status, stdout, peak RSS in MB) of one `python -m invcensus` child."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "invcensus", *argv, "--format", "json"]
+    with tempfile.TemporaryFile() as out:
+        stdout_to_out = [(os.POSIX_SPAWN_DUP2, out.fileno(), 1)]
+        pid = os.posix_spawn(sys.executable, command, env, file_actions=stdout_to_out)
+        _, status, usage = os.wait4(pid, 0)
+        out.seek(0)
+        return os.waitstatus_to_exitcode(status), out.read().decode(), usage.ru_maxrss / 1024
+
+
+def main() -> int:
+    earlier, failed = {}, 0
+    for job in JOBS:
+        start = time.perf_counter()
+        status, stdout, peak_mb = run(job.argv)
+        seconds = time.perf_counter() - start
+        failures = judge(job, status, stdout, peak_mb, earlier)
+        failed += bool(failures)
+        verdict = "FAIL" if failures else "ok"
+        line = f"{verdict:4} {job.name}: {seconds:.1f} s, peak RSS {peak_mb:.1f} MB"
+        line += f" (bound {job.rss_mb} MB)"
+        print("; ".join([line, *failures]), flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

