@@ -388,6 +388,22 @@ def test_streamed_haar_matches_materialized_product(problem, top):
         assert quotient == series[n]
 
 
+def test_two_qubit_closed_form_hilbert_series():
+    # The exact 2x2 Hilbert series, a third route shared with neither:
+    # (1 - t^2 - t^3 + 2t^4 + 2t^5 + 2t^6 - t^7 - t^8 + t^10)
+    #   / ((1-t)(1-t^2)^4(1-t^3)^3(1-t^4)^2)
+    top = 32
+    numerator = {0: 1, 2: -1, 3: -1, 4: 2, 5: 2, 6: 2, 7: -1, 8: -1, 10: 1}
+    inverse = expand(RationalForm((), (1, 2, 2, 2, 2, 3, 3, 3, 4, 4)), top)
+    expected = Series(
+        sum(c * inverse[n - d] for d, c in numerator.items() if d <= n)
+        for n in range(top + 1)
+    )
+    problem = CensusProblem(2, 2)
+    assert molien_series(problem, top, degree_limit=top) == expected
+    assert generating_series(problem, top, degree_limit=top) == expected
+
+
 def test_molien_coefficient_two_qubit_values():
     problem = CensusProblem(2, 2)
     assert molien_coefficient(problem, 2) == 4
@@ -397,6 +413,38 @@ def test_molien_coefficient_two_qubit_values():
 @pytest.mark.parametrize("n", range(7))
 def test_molien_coefficient_trivial_system(n):
     assert molien_coefficient(CensusProblem(1, 1), n) == 1
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [CensusProblem(1, 1), CensusProblem(1, 2), CensusProblem(2, 1), CensusProblem(2, 2)],
+)
+def test_molien_agrees_with_census(problem):
+    assert molien_series(problem, 6) == generating_series(problem, 6)
+
+
+def test_molien_agrees_with_census_two_qubit_stretch():
+    problem = CensusProblem(2, 2)
+    assert molien_series(problem, 8) == generating_series(problem, 8)
+
+
+# the 1xN and 2x4 cells are the cross-route table's rows (tests/cross_routes.py)
+@pytest.mark.parametrize(
+    "n1, n2, max_degree",
+    [
+        (2, 3, 8),
+        (3, 3, 5),
+        (2, 2, 16),
+        (3, 2, 6),
+        (3, 3, 9),
+        (2, 2, 24),
+    ],
+)
+def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
+    problem = CensusProblem(n1, n2)
+    assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
+        problem, max_degree, degree_limit=max_degree
+    )
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
