@@ -8,8 +8,10 @@ inner product over the cycle types rho of S_n:
 
 This equals the bounded pair sum of g(kappa,kappa,sigma) g(lam,lam,sigma) over
 l(kappa) <= N1, l(lam) <= N2 and l(sigma) <= min(N1^2, N2^2): the cap on sigma
-never binds, since g(kappa,kappa,sigma) = 0 once l(sigma) > l(kappa)^2 (Dvir,
-J. Algebra 154, 1993), so orthonormality of the characters collapses the sum
+never binds, since g(kappa,kappa,sigma) = 0 once l(sigma) > |kappa & kappa'|,
+the number of boxes kappa shares with its conjugate, which is at most
+l(kappa)^2 (Y. Dvir, "On the Kronecker product of S_n characters", J. Algebra
+154 (1993) 125-140), so orthonormality of the characters collapses the sum
 over sigma.
 
 All degrees up to D come from one pass of the Murnaghan-Nakayama walk of

@@ -11,6 +11,15 @@ a wrong character value surfaces as a loud non-integrality (or negativity)
 failure instead of a silently wrong count.
 Expansions and pair weights reuse one weight vector for all their nu and do
 not fill the coefficient memo behind kronecker_coefficient.
+
+A pair weight sums g(lam,lam,sigma) g(mu,mu,sigma) over sigma with at most a
+given number of parts.  By Dvir's theorem (J. Algebra 154, 1993) the longest
+constituent of lam * mu has |lam & mu'| parts, the boxes lam shares with the
+conjugate of mu.  Once the bound reaches min(|lam & lam'|, |mu & mu'|) it
+excludes no nonzero term, and orthonormality of the characters collapses the
+sum over sigma to one class sum, (1/n!) sum_rho |C_rho| chi_lam(rho)^2
+chi_mu(rho)^2, which reads only the rows of lam and mu.  Below that, the
+coefficients are summed over the sigma within the bound.
 """
 
 from dataclasses import dataclass
@@ -20,7 +29,8 @@ from operator import mul
 
 from .characters import _rows
 from .errors import ConsistencyError, exact_quotient, require_int
-from .partitions import Partition, as_partition, class_sizes, common_weight, partitions_of
+from .partitions import Partition, as_partition, class_sizes, common_weight
+from .partitions import conjugate, partitions_of
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +97,32 @@ def inner_product_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     return SchurExpansion(n, terms)
 
 
+def _overlap(lam: Partition, mu: Partition) -> int:
+    """|lam & mu'|, the number of boxes lam shares with the conjugate of mu."""
+    return sum(map(min, lam, conjugate(mu)))
+
+
 def pair_weight(lam: Partition, mu: Partition, part_bound: int) -> int:
     """Joint multiplicity sum linking two self-products.
 
     Sums g(lam,lam,sigma) * g(mu,mu,sigma) over all sigma with at most
-    part_bound parts; the bound is applied while enumerating sigma, not by
-    truncating full expansions.
+    part_bound parts.  When part_bound >= min(|lam & lam'|, |mu & mu'|) no
+    sigma is excluded (Dvir's bound), and the sum is one class sum over the rows
+    of lam and mu; otherwise each g is computed for the sigma within the bound.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     n = common_weight(lam, mu)
     require_int("part_bound", part_bound, 1)
+    if part_bound >= min(_overlap(lam, lam), _overlap(mu, mu)):
+        rows = _rows([lam, mu])
+        total = sum(
+            size * (a * b) ** 2
+            for (_, size), a, b in zip(class_sizes(n), rows[lam], rows[mu])
+        )
+        # every term is nonnegative, so only a remainder can expose a wrong character
+        return exact_quotient(
+            total, factorial(n), "class sum for the pair weight of {} and {}", lam, mu
+        )
     sigmas = partitions_of(n, part_bound)
     rows = _rows([lam, mu, *sigmas])
     left_weights = _weights(rows, lam, lam)

@@ -90,6 +90,48 @@ def test_pair_weight_respects_part_bound():
     assert narrow < full
 
 
+def _shared_boxes(lam, mu):
+    # |lam & mu'| = sum_i min(lam_i, mu'_i), written here apart from kronecker._overlap
+    return sum(min(a, b) for a, b in zip(lam, conjugate(mu)))
+
+
+def test_pair_weight_equals_the_bounded_sigma_sum():
+    # the paper's form: sum over sigma with at most `bound` parts of
+    # g(lam,lam,sigma) g(mu,mu,sigma), read off the two self-expansions
+    runs = {True: 0, False: 0}
+    for n in range(10):
+        parts = partitions_of(n)
+        squares = {lam: inner_product_expansion(lam, lam).terms for lam in parts}
+        for lam in parts:
+            for mu in parts:
+                left, right = squares[lam], squares[mu]
+                for bound in range(1, n + 2):
+                    expected = sum(
+                        g * right.get(sigma, 0)
+                        for sigma, g in left.items()
+                        if len(sigma) <= bound
+                    )
+                    assert pair_weight(lam, mu, bound) == expected, (lam, mu, bound)
+                    runs[bound >= min(_shared_boxes(lam, lam), _shared_boxes(mu, mu))] += 1
+    # both the class-sum shortcut and the sigma loop were exercised
+    assert runs[True] > 5000 and runs[False] > 5000, runs
+
+
+def test_dvir_bound_is_the_longest_constituent():
+    # Dvir: the longest nu in lam * mu has |lam & mu'| parts
+    def longest(lam, mu):
+        return max(len(nu) for nu in inner_product_expansion(lam, mu).terms)
+
+    for n in range(9):
+        parts = partitions_of(n)
+        for lam in parts:
+            for mu in parts:
+                assert longest(lam, mu) == _shared_boxes(lam, mu), (lam, mu)
+    for n in range(9, 11):
+        for lam in partitions_of(n):
+            assert longest(lam, lam) == _shared_boxes(lam, lam), lam
+
+
 def test_trivial_factor_is_identity():
     for n in range(7):
         for mu in partitions_of(n):
@@ -246,6 +288,13 @@ def _negated_row(irreps):
     return {lam: tuple(-value for value in row) for lam, row in _rows(irreps).items()}
 
 
+def _off_by_one_row(irreps):
+    # chi_(2,1)(1^3) = 3, not 2: the pair class sum of (2,1) becomes 2 + 81 = 83
+    rows = _rows(irreps)
+    rows[(2, 1)] = rows[(2, 1)][:-1] + (3,)
+    return rows
+
+
 @pytest.fixture
 def cold_caches():
     invcensus.clear_caches()
@@ -263,8 +312,25 @@ def test_corrupted_rows_raise(monkeypatch, cold_caches, corrupt, message):
         kronecker_coefficient((2, 1), (2, 1), (3,))
     with pytest.raises(ConsistencyError, match=message):
         inner_product_expansion((2, 1), (2, 1))
+    # bound 2 < |(2,1) & (2,1)'| = 3, so this one sums g over sigma
+    with pytest.raises(ConsistencyError, match=message):
+        pair_weight((2, 1), (2, 1), 2)
+
+
+# bound 3 >= |(2,1) & (2,1)'| = 3, so the next two take the class-sum shortcut
+@pytest.mark.parametrize(
+    "corrupt,message", [(_identity_only_row, "1/6"), (_off_by_one_row, "83/6")]
+)
+def test_corrupted_rows_raise_in_the_pair_class_sum(monkeypatch, cold_caches, corrupt, message):
+    monkeypatch.setattr(kronecker, "_rows", corrupt)
     with pytest.raises(ConsistencyError, match=message):
         pair_weight((2, 1), (2, 1), 3)
+
+
+def test_negated_rows_leave_the_pair_class_sum_true(monkeypatch, cold_caches):
+    # a sum of squares cannot see the sign, so it returns the true value
+    monkeypatch.setattr(kronecker, "_rows", _negated_row)
+    assert pair_weight((2, 1), (2, 1), 3) == 3
 
 
 # ---------------------------------------------------------------------------
