@@ -10,28 +10,32 @@ CensusProblem, the degree limit and its check, and errors.exact_quotient.
 
 The route works in root coordinates: each U(N) block has N - 1 variables
 z_i = x_i/x_{i+1}, and the z-exponent of x^e is the running sum of the
-block's exponents, so every weight has z-exponents in {-1, 0, 1}.  Each
-z-exponent vector c is packed into one integer sum_i (c_i + off)·B^i with
-B = 2·off + 1, so multiplying by a monomial is one integer addition.  The
-N1·N2 zero weights contribute only the scalar 1/(1 - t)^(N1·N2): one pass
-over prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
-division, each level is Haar-averaged to g_n, and
-F_n = sum_k C(k + N1·N2 - 1, k)·g_{n-k}.
+block's exponents, so every root x_i/x_j has z-exponents in {-1, 0, 1}.
+Each z-exponent vector c is packed into one integer sum_i (c_i + off)·B^i with
+B = 2·off + 1, so multiplying by a monomial is one integer addition.  Each
+block's N^2 roots are packed once; a weight (a_i/a_j)(b_k/b_l) is an a-root
+and a b-root end to end, so its step is a + b·B^(N1-1), and it is zero only
+when both roots are: N1·N2 of the N1^2·N2^2 weights.  One pass over
+prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
+division, and each level is Haar-averaged to g_n.  The zero weights add the
+scalar factor 1/(1 - t)^(N1·N2), and multiplying by 1/(1 - t) is a running
+sum, so F is g after N1·N2 prefix sums.
 
-The Weyl factor Delta(a)·Delta(b) is kept as its two block factors: a joint
-key is ka + kb·B^(N1-1), so the Haar average needs no joint product (on 5x5
-that product has 8.8 M keys).  It reads only the keys in the factor's
-support, so the product keeps only keys that can still reach the factor's
-per-digit range [lo_i, hi_i]: the a-block's ranges, then the b-block's.
-Each step moves each digit by at most 1 and raises the level by 1, so a key
-at level k whose digit i lies farther than D - k from
+The Weyl factor Delta(a)·Delta(b) is kept as its two block factors, each built
+from its block's nonzero steps: a joint key is ka + kb·B^(N1-1), so the Haar
+average needs no joint product (on 5x5 that product has 8.8 M keys).  It reads
+only the keys in the factor's support, so the product keeps only keys that can
+still reach the factor's per-digit range [lo_i, hi_i]: the a-block's ranges,
+then the b-block's.  Each step moves each digit by at most 1 and raises the
+level by 1, so a key at level k whose digit i lies farther than D - k from
 [lo_i, hi_i] has no descendant in that range at any level up to D, and it is
 dropped when it would first enter its level.  This is exact: every path to a
 kept key passes only through keys within reach, so each kept key keeps its
 full coefficient, and no dropped key is in the Weyl factor's support.
 """
 
-from math import comb, factorial
+from itertools import accumulate
+from math import factorial
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
 from .errors import ConsistencyError, exact_quotient
@@ -48,11 +52,6 @@ def _block_roots(size: int) -> list:
     ]
 
 
-def _weights(problem: CensusProblem) -> list:
-    """Root coordinates of the N1^2 * N2^2 adjoint torus weights, repeats included."""
-    return [a + b for a in _block_roots(problem.n1) for b in _block_roots(problem.n2)]
-
-
 def _offset(problem: CensusProblem, max_degree: int) -> int:
     """Digit offset covering |c_i| <= max_degree in h_n and floor(N^2/4),
     the largest root coordinate of the Weyl factor."""
@@ -64,28 +63,20 @@ def _packed(coords, base: int) -> int:
     return sum(c * base**i for i, c in enumerate(coords))
 
 
-def _ndigits(problem: CensusProblem) -> int:
-    return problem.n1 + problem.n2 - 2
-
-
-def _weight_steps(problem: CensusProblem, base: int) -> tuple:
-    """Packed steps of the nonzero weights, and the number of zero weights.
+def _block_steps(size: int, base: int) -> list:
+    """Packed steps of the block's size^2 roots, its size zero roots included.
 
     A root coordinate outside {-1, 0, 1} would let digits carry and two
-    vectors share a key, so it is rejected before anything is packed.
+    vectors share a key, so it is rejected before anything is packed.  A
+    joint weight is an a-root and a b-root end to end, so checking the block
+    roots checks every joint weight.
     """
-    steps, zeros = [], 0
-    for coords in _weights(problem):
-        if any(abs(c) > 1 for c in coords):
-            raise ConsistencyError(f"weight {coords} has a root coordinate past the bound 1")
-        step = _packed(coords, base)
-        if step:
-            steps.append(step)
-        else:
-            zeros += 1
-    # In sorted order repeats sit side by side, and the product ran about a
-    # quarter faster on 2x3 and 3x3 than in the weights' own order.
-    return sorted(steps), zeros
+    steps = []
+    for root in _block_roots(size):
+        if any(abs(c) > 1 for c in root):
+            raise ConsistencyError(f"root {root} has a root coordinate past the bound 1")
+        steps.append(_packed(root, base))
+    return steps
 
 
 def _digit_ranges(keys, base: int, ndigits: int) -> list:
@@ -137,21 +128,10 @@ def _product_levels(origin: int, steps: list, max_degree: int, tests: list) -> l
     return levels
 
 
-def _complete_homogeneous_levels(problem: CensusProblem, max_degree: int, reach: list) -> tuple:
-    """Packed levels h'_0 .. h'_max_degree of the nonzero weights, the number
-    of zero weights, and the digit offset of the keys.
-
-    reach holds one (lo, hi) range of packed digits per root coordinate: the
-    levels keep only the keys that can still reach it by level max_degree,
-    each with its exact coefficient.  The whole box [0, 2·off] drops nothing.
-    """
-    off = _offset(problem, max_degree)
-    base, ndigits = 2 * off + 1, _ndigits(problem)
-    steps, zeros = _weight_steps(problem, base)
-    tests = _reach_tests(reach, off, base, max_degree)
-    levels = _product_levels(_packed([off] * ndigits, base), steps, max_degree, tests)
-    # Each root coordinate of h'_n is at most n; a violation means corrupt
-    # arithmetic.  One digit per pass costs far less than unpacking each key.
+def _check_levels(levels: list, off: int, base: int, ndigits: int) -> None:
+    """Reject a finished level with a key outside the box or a root
+    coordinate past its degree; either means corrupt arithmetic."""
+    # One digit per pass costs far less than unpacking each key.
     for n, level in enumerate(levels):
         if not level:
             continue
@@ -160,25 +140,18 @@ def _complete_homogeneous_levels(problem: CensusProblem, max_degree: int, reach:
         for low, high in _digit_ranges(level, base, ndigits):
             if low < off - n or high > off + n:
                 raise ConsistencyError(f"h_{n} has an exponent past the bound {n}")
-    return levels, zeros, off
 
 
-def _zero_weight_scalar(zeros: int, max_degree: int) -> list:
-    """Coefficients of 1/(1 - t)^zeros: C(k + zeros - 1, k) at t^k, zeros >= 1."""
-    return [comb(k + zeros - 1, k) for k in range(max_degree + 1)]
-
-
-def _weyl_factor(size: int, off: int) -> dict:
+def _weyl_factor(origin: int, steps: list) -> dict:
     """Delta = prod over ordered pairs i != j < size of (1 - x_i/x_j) for one
-    U(size) block, on packed root-coordinate keys of its size - 1 digits.
+    U(size) block, on packed keys of its size - 1 digits, from the block's
+    steps and its origin key.
 
     Every partial product has root coordinates within floor(size^2/4) <= off,
     so no digit carries.
     """
-    base = 2 * off + 1
-    product = {_packed([off] * (size - 1), base): 1}
-    for root in filter(any, _block_roots(size)):
-        step = _packed(root, base)
+    product = {origin: 1}
+    for step in filter(None, steps):
         out = dict(product)
         for e, c in product.items():
             out[e + step] = out.get(e + step, 0) - c
@@ -222,22 +195,28 @@ def molien_series(
 ) -> Series:
     """Molien series of the problem through max_degree."""
     _require_degree("max_degree", max_degree, degree_limit)
+    n1, n2 = problem.n1, problem.n2
     off = _offset(problem, max_degree)
     base = 2 * off + 1
-    weyl = _weyl_factor(problem.n1, off), _weyl_factor(problem.n2, off)
-    reach = _digit_ranges(weyl[0], base, problem.n1 - 1)
-    reach += _digit_ranges(weyl[1], base, problem.n2 - 1)
-    levels, zeros, _ = _complete_homogeneous_levels(problem, max_degree, reach)
-    split = base ** (problem.n1 - 1)
-    averages = [_haar_average(level, weyl, split, problem) for level in levels]
-    scalar = _zero_weight_scalar(zeros, max_degree)
-    coeffs = []
-    for n in range(max_degree + 1):
-        # g_n may be negative (1x2 has g = 1/(1 + t)); F_n may not
-        value = sum(scalar[k] * averages[n - k] for k in range(n + 1))
+    split = base ** (n1 - 1)
+    steps_a, steps_b = _block_steps(n1, base), _block_steps(n2, base)
+    origin_a, origin_b = _packed([off] * (n1 - 1), base), _packed([off] * (n2 - 1), base)
+    weyl = _weyl_factor(origin_a, steps_a), _weyl_factor(origin_b, steps_b)
+    reach = _digit_ranges(weyl[0], base, n1 - 1) + _digit_ranges(weyl[1], base, n2 - 1)
+    joint = [a + b * split for a in steps_a for b in steps_b]
+    # In sorted order repeats sit side by side, and the product ran about a
+    # quarter faster on 2x3 and 3x3 than in the weights' own order.
+    steps = sorted(filter(None, joint))
+    tests = _reach_tests(reach, off, base, max_degree)
+    levels = _product_levels(origin_a + origin_b * split, steps, max_degree, tests)
+    _check_levels(levels, off, base, n1 + n2 - 2)
+    coeffs = [_haar_average(level, weyl, split, problem) for level in levels]
+    for _ in range(len(joint) - len(steps)):
+        coeffs = list(accumulate(coeffs))
+    # g_n may be negative (1x2 has g = 1/(1 + t)); F_n may not
+    for n, value in enumerate(coeffs):
         if value < 0:
             raise ConsistencyError(
                 f"Molien coefficient at degree {n} came out negative ({value})"
             )
-        coeffs.append(value)
     return Series(coeffs)

@@ -86,6 +86,10 @@ def read_series_file(path) -> Series:
         raise SeriesFormatError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    except UnicodeDecodeError as exc:
+        raise SeriesFormatError(f"{path}: byte {exc.start} is not UTF-8: {exc.reason}") from None
+    except RecursionError:
+        raise SeriesFormatError(f"{path}: JSON nested too deeply to read") from None
     return series_from_json(doc, where=str(path))
 
 

@@ -86,8 +86,10 @@ class Route:
 
 # Every 1 <= N1 <= N2 <= 5 has a row.  The 2x1 and 3x2 rows run the Molien
 # route with the larger block first; their swaps run the census both ways.
+# 1x2 runs it with an a-block of no digit, so a joint key is its b-key.
 ROUTES = (
     Route(1, 1, 12, closed_form=one_by(1)),
+    Route(1, 2, 12, closed_form=one_by(2)),
     Route(2, 1, 12, closed_form=one_by(2)),
     Route(1, 3, 12, closed_form=one_by(3)),
     Route(1, 4, 12, closed_form=one_by(4)),

@@ -367,6 +367,15 @@ def test_factor_malformed_file(capsys, tmp_path):
     status, _, err = run(capsys, "factor", "--series-file", str(path), "--free-generators", "1")
     assert status == 1
     assert "'truncation_degree' must be a nonnegative integer" in err
+    # each malformed file gives one stderr line that names it, and no traceback
+    for content in (b"\xff{}", b"[" * 100_000):
+        path.write_bytes(content)
+        status, out, err = run(
+            capsys, "factor", "--series-file", str(path), "--free-generators", "1"
+        )
+        assert status == 1
+        assert out == ""
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
 
 def test_json_determinism(capsys):

@@ -1,6 +1,8 @@
+import ast
 from collections import Counter
 from itertools import accumulate, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 
@@ -14,28 +16,67 @@ from invcensus.series import Series
 
 def power_sum(problem, m):
     """p_m of the adjoint eigenvalues: the multiplicity of each root-coordinate
-    exponent m·w over the weights w."""
-    return Counter(tuple(m * c for c in w) for w in molien._weights(problem))
+    exponent m·w over the weights w, each an a-root and a b-root end to end."""
+    return Counter(
+        tuple(m * c for c in a + b)
+        for a in molien._block_roots(problem.n1)
+        for b in molien._block_roots(problem.n2)
+    )
+
+
+def ndigits(problem):
+    return problem.n1 + problem.n2 - 2
 
 
 def whole_box(problem, n):
     """The digit range of every key to degree n, which drops no key."""
-    return [(0, 2 * molien._offset(problem, n))] * molien._ndigits(problem)
+    return [(0, 2 * molien._offset(problem, n))] * ndigits(problem)
+
+
+def weight_steps(problem, base):
+    """Sorted packed steps of the nonzero weights and the number of zero
+    weights; a weight's step is its a-step plus its b-step times base^(N1-1)."""
+    split = base ** (problem.n1 - 1)
+    joint = [
+        a + b * split
+        for a in molien._block_steps(problem.n1, base)
+        for b in molien._block_steps(problem.n2, base)
+    ]
+    steps = sorted(filter(None, joint))
+    return steps, len(joint) - len(steps)
+
+
+def complete_homogeneous_levels(problem, n, reach):
+    """Checked levels h'_0 .. h'_n of the nonzero weights, keeping the keys that
+    can still reach `reach`, the number of zero weights and the key offset."""
+    off = molien._offset(problem, n)
+    base = 2 * off + 1
+    steps, zeros = weight_steps(problem, base)
+    tests = molien._reach_tests(reach, off, base, n)
+    levels = molien._product_levels(origin_key(problem, off), steps, n, tests)
+    molien._check_levels(levels, off, base, ndigits(problem))
+    return levels, zeros, off
+
+
+def zero_weight_scalar(zeros, n):
+    """Coefficients of 1/(1 - t)^zeros, C(k + zeros - 1, k) at t^k: the
+    binomial form of molien_series's repeated prefix sums."""
+    return [comb(k + zeros - 1, k) for k in range(n + 1)]
 
 
 def complete_homogeneous(problem, n):
     """h_n of the adjoint eigenvalues, zero weights included, on packed keys,
     with the key offset."""
-    levels, zeros, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    levels, zeros, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
     terms = Counter()
-    for k, scalar in enumerate(molien._zero_weight_scalar(zeros, n)):
+    for k, scalar in enumerate(zero_weight_scalar(zeros, n)):
         for key, c in levels[n - k].items():
             terms[key] += scalar * c
     return dict(terms), off
 
 
 def origin_key(problem, off):
-    return molien._packed([off] * molien._ndigits(problem), 2 * off + 1)
+    return molien._packed([off] * ndigits(problem), 2 * off + 1)
 
 
 def unpacked(key, off, ndigits):
@@ -45,8 +86,12 @@ def unpacked(key, off, ndigits):
 
 def weyl_blocks(problem, off):
     """The block pair (Delta(a), Delta(b)) and the joint key's split base^(N1-1)."""
-    pair = molien._weyl_factor(problem.n1, off), molien._weyl_factor(problem.n2, off)
-    return pair, (2 * off + 1) ** (problem.n1 - 1)
+    base = 2 * off + 1
+    pair = tuple(
+        molien._weyl_factor(molien._packed([off] * (n - 1), base), molien._block_steps(n, base))
+        for n in (problem.n1, problem.n2)
+    )
+    return pair, base ** (problem.n1 - 1)
 
 
 def haar_average(problem, terms, off):
@@ -82,17 +127,17 @@ def test_power_sum_constant_term_counts_unit_eigenvalues(m):
 
 
 @pytest.mark.parametrize(
-    "problem", [CensusProblem(1, 1), CensusProblem(2, 1), CensusProblem(2, 2), CensusProblem(3, 2)]
+    "problem", [CensusProblem(*dims) for dims in ((1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (2, 5))]
 )
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_power_sum_total_eigenvalue_count(problem, m):
     # evaluating every variable at 1 must count all N1^2 * N2^2 eigenvalues,
     # N1 * N2 of them equal to 1
     p = power_sum(problem, m)
-    zero = (0,) * molien._ndigits(problem)
+    zero = (0,) * ndigits(problem)
     assert sum(p.values()) == problem.n1**2 * problem.n2**2
     assert p[zero] == problem.n1 * problem.n2
-    steps, zeros = molien._weight_steps(problem, 2 * molien._offset(problem, m) + 1)
+    steps, zeros = weight_steps(problem, 2 * molien._offset(problem, m) + 1)
     assert zeros == problem.n1 * problem.n2
     assert len(steps) + zeros == problem.n1**2 * problem.n2**2
 
@@ -140,8 +185,8 @@ def test_complete_homogeneous_counts_multisets(problem):
     # at x = 1, h_n counts the degree-n multisets of the N1^2 * N2^2 eigenvalues:
     # sum_k C(k + N1·N2 - 1, k) · (sum of h'_{n-k}) = C(N1^2·N2^2 + n - 1, n)
     dim = problem.n1**2 * problem.n2**2
-    levels, zeros, _ = molien._complete_homogeneous_levels(problem, 6, whole_box(problem, 6))
-    scalar = molien._zero_weight_scalar(zeros, 6)
+    levels, zeros, _ = complete_homogeneous_levels(problem, 6, whole_box(problem, 6))
+    scalar = zero_weight_scalar(zeros, 6)
     for n in range(7):
         total = sum(scalar[k] * sum(levels[n - k].values()) for k in range(n + 1))
         assert total == comb(dim + n - 1, n)
@@ -179,20 +224,24 @@ def test_haar_inexact_division_rejected():
 
 def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
     problem = CensusProblem(2, 1)
-    monkeypatch.setattr(molien, "_weights", lambda problem: [(5,)])
+    roots = molien._block_roots
+    monkeypatch.setattr(molien, "_block_roots", lambda size: [(5,)] if size == 2 else roots(size))
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien._complete_homogeneous_levels(problem, 1, whole_box(problem, 1))
+        complete_homogeneous_levels(problem, 1, whole_box(problem, 1))
     with pytest.raises(ConsistencyError, match="past the bound"):
         molien_series(problem, 1)
 
 
 def test_negative_molien_coefficient_rejected(monkeypatch):
-    # negating Delta(a) alone negates the product; 2x1's b-block has size 1
+    # negating Delta(a) alone negates the product; 2x1's b-block has size 1,
+    # so no nonzero step
     weyl = molien._weyl_factor
     monkeypatch.setattr(
         molien,
         "_weyl_factor",
-        lambda size, off: {e: (-c if size == 2 else c) for e, c in weyl(size, off).items()},
+        lambda origin, steps: {
+            e: (-c if any(steps) else c) for e, c in weyl(origin, steps).items()
+        },
     )
     with pytest.raises(ConsistencyError, match="came out negative"):
         molien_series(CensusProblem(2, 1), 2)
@@ -214,17 +263,22 @@ def test_pack_unpack_round_trip_over_the_box(n1, n2):
 
 def test_trivial_system_levels_are_empty_above_zero():
     # 1x1 has r = 0 root coordinates and only its one zero weight
-    levels, zeros, off = molien._complete_homogeneous_levels(CensusProblem(1, 1), 4, [])
+    levels, zeros, off = complete_homogeneous_levels(CensusProblem(1, 1), 4, [])
     assert zeros == 1
     assert levels == [{0: 1}, {}, {}, {}, {}]
 
 
 def test_carrying_weight_rejected_before_packing(monkeypatch):
-    # root coordinates (3, -1) with off = 1, B = 3 would pack to 3 - 3 = 0,
-    # a zero step that no later check on the levels could tell apart
-    monkeypatch.setattr(molien, "_weights", lambda problem: [(3, -1)])
-    with pytest.raises(ConsistencyError, match="past the bound 1"):
-        molien_series(CensusProblem(2, 2), 1)
+    # root coordinates (5, -1) with off = 2, B = 5 would pack to 5 - 5 = 0,
+    # a zero step that no later check on the levels could tell apart; the bad
+    # root is in the size-3 block, the a-block of 3x2 and the b-block of 2x3
+    roots = molien._block_roots
+    monkeypatch.setattr(
+        molien, "_block_roots", lambda size: roots(size) + [(5, -1)] if size == 3 else roots(size)
+    )
+    for n1, n2 in (3, 2), (2, 3):
+        with pytest.raises(ConsistencyError, match="past the bound 1"):
+            molien_series(CensusProblem(n1, n2), 1)
 
 
 @pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
@@ -245,7 +299,7 @@ def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
     with pytest.raises(ConsistencyError, match="past the bound"):
         molien_series(problem, 2)
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien._complete_homogeneous_levels(problem, 2, whole_box(problem, 2))
+        complete_homogeneous_levels(problem, 2, whole_box(problem, 2))
 
 
 def weyl_reach(problem, n):
@@ -260,9 +314,9 @@ def weyl_reach(problem, n):
 
 def unpruned_series(problem, n):
     """F_0 .. F_n from the whole-box product, which drops no key."""
-    levels, zeros, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    levels, zeros, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
     averages = [haar_average(problem, level, off) for level in levels]
-    scalar = molien._zero_weight_scalar(zeros, n)
+    scalar = zero_weight_scalar(zeros, n)
     return Series([sum(scalar[k] * averages[m - k] for k in range(m + 1)) for m in range(n + 1)])
 
 
@@ -281,8 +335,8 @@ def test_pruned_levels_are_the_full_levels_within_reach():
     off = molien._offset(problem, n)
     reach = weyl_reach(problem, n)
     assert [(lo - off, hi - off) for lo, hi in reach] == [(-1, 1), (-2, 2), (-2, 2)]
-    pruned, _, _ = molien._complete_homogeneous_levels(problem, n, reach)
-    full, _, _ = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    pruned, _, _ = complete_homogeneous_levels(problem, n, reach)
+    full, _, _ = complete_homogeneous_levels(problem, n, whole_box(problem, n))
     for k, (kept, level) in enumerate(zip(pruned, full)):
         within = {
             key: c
@@ -300,7 +354,7 @@ def test_pruned_levels_are_the_full_levels_within_reach():
 def test_pruned_levels_inversion_symmetric(problem):
     # the Weyl factor's range is symmetric about the origin, so the kept keys are too
     n = 10
-    levels, _, off = molien._complete_homogeneous_levels(problem, n, weyl_reach(problem, n))
+    levels, _, off = complete_homogeneous_levels(problem, n, weyl_reach(problem, n))
     center = origin_key(problem, off)
     for level in levels:
         assert {2 * center - key: c for key, c in level.items()} == level
@@ -327,7 +381,7 @@ def test_both_haar_branches_equal_the_joint_expansion(n1, n2):
     # a level with more keys than there are pairs of block keys is summed over
     # the pairs, a smaller one over its own keys; levels 0..6 take both sides
     problem, n = CensusProblem(n1, n2), 6
-    levels, _, off = molien._complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    levels, _, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
     joint = joint_weyl_factor(problem, off)
     (delta_a, delta_b), _ = weyl_blocks(problem, off)
     pairs = len(delta_a) * len(delta_b)
@@ -498,3 +552,25 @@ def test_both_routes_reject_degrees_alike(max_degree, degree_limit):
             route(problem, max_degree, degree_limit)
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
+
+
+def test_route_imports_only_the_names_it_shares():
+    # the independence README states: the route uses no character, Kronecker
+    # or census counting code, only the problem, the degree check and the errors
+    imported = set()
+    for node in ast.walk(ast.parse(Path(molien.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.split(".")[0] == "invcensus"
+        ):
+            module = (node.module or "").removeprefix("invcensus").lstrip(".")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {("", a.name) for a in node.names if a.name.split(".")[0] == "invcensus"}
+    assert imported == {
+        ("census", "CensusProblem"),
+        ("census", "DEFAULT_DEGREE_LIMIT"),
+        ("census", "_require_degree"),
+        ("errors", "ConsistencyError"),
+        ("errors", "exact_quotient"),
+        ("series", "Series"),
+    }

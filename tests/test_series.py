@@ -60,6 +60,13 @@ def test_file_errors(tmp_path):
     bad.write_text("{\n  broken")
     with pytest.raises(SeriesFormatError, match="line"):
         read_series_file(bad)
+    # bytes that are not UTF-8, and nesting past the parser's recursion limit
+    bad.write_bytes(b'\xff{"truncation_degree": 0, "coefficients": [1]}')
+    with pytest.raises(SeriesFormatError, match=r"bad\.json: byte 0 is not UTF-8"):
+        read_series_file(bad)
+    bad.write_text("[" * 100_000)
+    with pytest.raises(SeriesFormatError, match=r"bad\.json: JSON nested too deeply"):
+        read_series_file(bad)
 
 
 def test_big_integers_survive():
