@@ -5,10 +5,11 @@ share no counting code, so their agreement is what the counts stand on.  Each
 row of ROUTES names a system N1 x N2 and a degree.  Every row compares the
 census series, the Molien series and the census series of the swapped system
 N2 x N1; a row with a closed form compares that too.  A tier-1 row runs
-in-process in tests/test_cross_routes.py.  A CI row runs as CLI processes
-(`molien --check`, then `census` on the swapped system) under a peak-RSS
-bound, and so do the other long checks in LONG, each with its pinned
-expectation.
+in-process in tests/test_cross_routes.py, and there it runs both Molien
+engines, the joint product and the block integrals, whichever the rule would
+pick.  A CI row runs as CLI processes (`molien --check`, with the engine the
+rule picks, then `census` on the swapped system) under a peak-RSS bound, and
+so do the other long checks in LONG, each with its pinned expectation.
 
 Run every CI row, one child process and one printed line each:
 
@@ -107,6 +108,9 @@ ROUTES = (
     Route(3, 3, 12, CI, rss_mb=40),
     Route(4, 5, 3, CI, rss_mb=40),
     Route(5, 5, 3, CI, rss_mb=60),
+    Route(4, 4, 12, CI, rss_mb=40),
+    Route(5, 5, 8, CI, rss_mb=40),
+    Route(2, 5, 16, CI, rss_mb=40),
 )
 
 

@@ -3,14 +3,16 @@ import json
 import pytest
 from cross_routes import CI, JOBS, ROUTES, TIER1, dimension, expand, judge
 
+import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series
-from invcensus.molien import molien_series
 
 
 @pytest.mark.parametrize("row", [row for row in ROUTES if row.where == TIER1], ids=str)
 def test_cross_route_row(row):
-    census = generating_series(CensusProblem(row.n1, row.n2), row.degree, row.degree)
-    assert molien_series(CensusProblem(row.n1, row.n2), row.degree, row.degree) == census
+    problem = CensusProblem(row.n1, row.n2)
+    census = generating_series(problem, row.degree, row.degree)
+    assert molien._joint_series(problem, row.degree) == census
+    assert molien._block_series(problem, row.degree) == census
     if row.n1 != row.n2:
         assert generating_series(CensusProblem(row.n2, row.n1), row.degree, row.degree) == census
     if row.closed_form:

@@ -8,9 +8,11 @@ import pytest
 
 import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series
+from invcensus.characters import character
 from invcensus.errors import ConsistencyError, ResourceLimitError
 from invcensus.factorizer import RationalForm, expand
 from invcensus.molien import molien_coefficient, molien_series
+from invcensus.partitions import partitions_of, z_order
 from invcensus.series import Series
 
 
@@ -229,7 +231,7 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
     with pytest.raises(ConsistencyError, match="past the bound"):
         complete_homogeneous_levels(problem, 1, whole_box(problem, 1))
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien_series(problem, 1)
+        molien._joint_series(problem, 1)
 
 
 def test_negative_molien_coefficient_rejected(monkeypatch):
@@ -244,7 +246,7 @@ def test_negative_molien_coefficient_rejected(monkeypatch):
         },
     )
     with pytest.raises(ConsistencyError, match="came out negative"):
-        molien_series(CensusProblem(2, 1), 2)
+        molien._joint_series(CensusProblem(2, 1), 2)
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 3), (3, 1), (2, 3)])
@@ -278,7 +280,7 @@ def test_carrying_weight_rejected_before_packing(monkeypatch):
     )
     for n1, n2 in (3, 2), (2, 3):
         with pytest.raises(ConsistencyError, match="past the bound 1"):
-            molien_series(CensusProblem(n1, n2), 1)
+            molien._joint_series(CensusProblem(n1, n2), 1)
 
 
 @pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
@@ -297,7 +299,7 @@ def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
 
     monkeypatch.setattr(molien, "_product_levels", corrupted)
     with pytest.raises(ConsistencyError, match="past the bound"):
-        molien_series(problem, 2)
+        molien._joint_series(problem, 2)
     with pytest.raises(ConsistencyError, match="past the bound"):
         complete_homogeneous_levels(problem, 2, whole_box(problem, 2))
 
@@ -325,7 +327,7 @@ def unpruned_series(problem, n):
 )
 def test_pruned_series_equals_the_whole_box_product(n1, n2, n):
     problem = CensusProblem(n1, n2)
-    assert molien_series(problem, n, n) == unpruned_series(problem, n)
+    assert molien._joint_series(problem, n) == unpruned_series(problem, n)
 
 
 def test_pruned_levels_are_the_full_levels_within_reach():
@@ -430,7 +432,7 @@ def test_streamed_haar_matches_materialized_product(problem, top):
                     out[key] = out.get(key, 0) - c
                 weyl = out
     order = factorial(problem.n1) * factorial(problem.n2)
-    series = molien_series(problem, top)
+    series = molien._joint_series(problem, top)
     for n, h in enumerate(levels):
         full = {}
         for e1, c1 in h.items():
@@ -440,6 +442,111 @@ def test_streamed_haar_matches_materialized_product(problem, top):
         quotient, remainder = divmod(full.get((0,) * nvars, 0), order)
         assert remainder == 0
         assert quotient == series[n]
+
+
+def power_sum_product(size, rho, base):
+    """p_rho of `size` variables on packed exponent keys, one part at a time."""
+    poly = {0: 1}
+    for part in rho:
+        poly = molien._times_power_sum(poly, part, base, size)
+    return poly
+
+
+def block_integral(size, rho):
+    """I_size(rho) by the block engine's Frobenius lookups, at the base D + N
+    for D = |rho|."""
+    m = sum(rho)
+    base = m + size
+    terms = molien._frobenius_terms(size, m, base)
+    return molien._block_integral(power_sum_product(size, rho, base), terms)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_block_integral_is_the_sum_of_squared_characters(size):
+    # I_N(rho) = sum over kappa with at most N rows of chi_kappa(rho)^2, the
+    # characters here from the Murnaghan-Nakayama strips of characters.py
+    for m in range(11):
+        for rho in partitions_of(m):
+            expected = sum(character(kappa, rho) ** 2 for kappa in partitions_of(m, size))
+            assert block_integral(size, rho) == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_block_integral_is_z_in_the_stable_range(size):
+    # E|p_rho(U)|^2 = z_rho over U(N) once N >= |rho| (Diaconis-Shahshahani)
+    for m in range(size + 1):
+        for rho in partitions_of(m):
+            assert block_integral(size, rho) == z_order(rho)
+
+
+def test_block_engine_rejects_a_digit_at_the_base(monkeypatch):
+    # a shape (n + 1) of "size n" puts kappa_1 + N - 1 = D + N, the base, in
+    # the top digit at n = D, where it would carry into the next digit
+    shapes = molien.partitions_of
+    monkeypatch.setattr(molien, "partitions_of", lambda n, rows: shapes(n, rows) + ((n + 1,),))
+    with pytest.raises(ConsistencyError, match="has a digit past the base 5"):
+        molien._block_series(CensusProblem(2, 1), 3)
+
+
+def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
+    # an extra monomial in each p_rho·p_2 leaves p_rho asymmetric, and what is
+    # read off it is no virtual character: F_4 of 2x1 sums to 87, not a
+    # multiple of 4! = 24
+    times = molien._times_power_sum
+
+    def corrupted(poly, length, base, size):
+        out = times(poly, length, base, size)
+        if length == 2:
+            out[max(out)] += 1
+        return out
+
+    monkeypatch.setattr(molien, "_times_power_sum", corrupted)
+    with pytest.raises(ConsistencyError, match="F_4 of 2x1 is 87/24, not an integer"):
+        molien._block_series(CensusProblem(2, 1), 4)
+
+
+def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
+    # a sum of squares cannot go negative, so only a corrupted integral can
+    # make F_n negative; 2x1 has one block with N > 1
+    integral = molien._block_integral
+    monkeypatch.setattr(molien, "_block_integral", lambda poly, terms: -integral(poly, terms))
+    with pytest.raises(ConsistencyError, match="came out negative"):
+        molien._block_series(CensusProblem(2, 1), 2)
+
+
+# Each row's engine from the measured table in molien.py's docstring: the
+# faster one, or on 1x5/16, a near tie, the joint product; the last three rows
+# stay on the joint product, whose estimate lists no partition.
+@pytest.mark.parametrize(
+    "n1, n2, max_degree, engine",
+    [
+        (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "joint"),
+        (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "block"),
+        (2, 3, 16, "block"), (2, 3, 20, "joint"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
+        (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
+        (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"),
+    ],
+)
+def test_rule_picks_the_measured_engine(n1, n2, max_degree, engine):
+    problem = CensusProblem(n1, n2)
+    block, joint = molien._block_cost(problem, max_degree), molien._joint_cost(problem, max_degree)
+    assert ("block" if block < joint else "joint") == engine
+
+
+@pytest.mark.parametrize("n1, n2, max_degree, engine", [(2, 3, 11, "block"), (2, 2, 16, "joint")])
+def test_molien_series_runs_the_engine_the_rule_picks(monkeypatch, n1, n2, max_degree, engine):
+    ran = []
+    for name in ("block", "joint"):
+        monkeypatch.setattr(molien, f"_{name}_series", lambda p, d, name=name: ran.append(name))
+    molien_series(CensusProblem(n1, n2), max_degree, max_degree)
+    assert ran == [engine]
+
+
+def test_partition_counts_follow_the_lists():
+    for rows in range(6):
+        lists = [len(partitions_of(m, rows)) for m in range(13)]
+        assert molien._partition_counts(rows, 12) == lists
+    assert molien._partition_counts(90, 90)[90] == 56634173  # p(90), never listed
 
 
 def test_two_qubit_closed_form_hilbert_series():
@@ -556,7 +663,8 @@ def test_both_routes_reject_degrees_alike(max_degree, degree_limit):
 
 def test_route_imports_only_the_names_it_shares():
     # the independence README states: the route uses no character, Kronecker
-    # or census counting code, only the problem, the degree check and the errors
+    # or census counting code, only the problem, the degree check, the errors
+    # and the partition lists
     imported = set()
     for node in ast.walk(ast.parse(Path(molien.__file__).read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and (
@@ -572,5 +680,6 @@ def test_route_imports_only_the_names_it_shares():
         ("census", "_require_degree"),
         ("errors", "ConsistencyError"),
         ("errors", "exact_quotient"),
+        ("partitions", "partitions_of"),
         ("series", "Series"),
     }
