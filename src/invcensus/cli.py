@@ -188,6 +188,13 @@ def _cmd_factor(args):
         numerator_for_denominator(target, r.candidate.denominator_degrees, target.degree)
         for r in shown
     ]
+    for report, numerator in zip(shown, numerators):  # each row claims nonnegativity through D
+        negative = next((n for n, c in enumerate(numerator) if c < 0), None)
+        if negative is not None:
+            raise ConsistencyError(
+                f"the search kept denominator {report.candidate.denominator_degrees}, whose "
+                f"numerator is {numerator[negative]} at degree {negative}"
+            )
     anchored = _anchored(target)
     result = {
         "candidate_count": count,

@@ -12,15 +12,20 @@ degree D every integer series with constant term 1 is uniquely
 Prod_{k<=D} (1-x^k)^(-e_k) with integer e_k.  A denominator factor (1-x^b)
 lowers e_b by 1, and (1+x^a) = (1-x^2a)/(1-x^a), so dividing by it lowers e_a
 by 1 and raises e_2a by 1.  The target's exponents are computed once, and one
-greedy pass over k = 1..D factors a candidate's numerator.  The search shares
-that pass between candidates: its steps below b are the same for every
-denominator that extends a prefix ending in b, so they run once, on the way
-down the tree.
+greedy pass over k = 1..D factors a candidate's numerator.
+
+The search walks denominators depth-first in nondecreasing order.  A prefix
+ending in b carries its greedy pass, whose steps below b are the same for
+every denominator below it, and its numerator T*Prod(1-x^b), packed into one
+integer with a biased digit per degree (Kronecker substitution): a factor, the
+scan for a negative coefficient and a leaf's test are a few big-integer
+operations each.  A factor (1-x^b) leaves every coefficient below b unchanged,
+so a prefix whose numerator is negative below the next factor degree heads a
+subtree in which nothing survives, and that subtree is skipped.
 """
 
 import heapq
 from dataclasses import dataclass
-from operator import ge
 
 from .errors import exact_quotient, require_int
 from .series import Series
@@ -70,9 +75,7 @@ def numerator_for_denominator(target: Series, denominator_degrees, degree: int) 
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
     if degree > target.degree:
-        raise ValueError(
-            f"requested degree {degree} exceeds the target truncation {target.degree}"
-        )
+        raise ValueError(f"requested degree {degree} exceeds the target truncation {target.degree}")
     coeffs = list(target.coeffs[: degree + 1])
     for b in denominator_degrees:
         require_int("denominator degree", b, 1)
@@ -202,9 +205,7 @@ def fit_denominator(
         require_int("max_factor_degree", max_factor_degree, 0)
     denominator_degrees = tuple(denominator_degrees)  # read once, even from an iterator
     numerator = numerator_for_denominator(target, denominator_degrees, degree)
-    nonnegative_through = next(
-        (n - 1 for n in range(degree + 1) if numerator[n] < 0), degree
-    )
+    nonnegative_through = next((n - 1 for n in range(degree + 1) if numerator[n] < 0), degree)
     exponents = _euler_exponents(target.coeffs)
     for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
         if b <= degree:
@@ -229,14 +230,6 @@ def search_candidates(
     descending, then fewest total factors, then the denominator degrees, then
     the numerator degrees: a total order, since no two survivors share a
     denominator.
-
-    Denominators are walked depth-first in nondecreasing order, carrying the
-    partial numerator T*Prod(1-x^b) of each prefix down the tree.  A factor
-    (1-x^b) leaves every coefficient below b unchanged, so a prefix whose
-    numerator is already negative below the next factor degree heads a
-    subtree in which nothing survives, and that subtree is skipped.  The
-    greedy pass goes down the tree with the prefix: a child ending in b runs
-    it on from its parent's degree to b, and a survivor finishes it.
     """
     _, keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
     return [_report(k, target.degree) for k in keys]
@@ -254,8 +247,7 @@ def _survivors(
     key.  Keys are distinct, so no cut breaks a tie, and a tie on match
     degree and size is decided by the denominator: the walk offers
     denominators in increasing order, so the later survivor ranks after
-    every key already kept.  Every key that is built therefore ranks above
-    the worst kept one.
+    every key already kept.
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
@@ -281,15 +273,17 @@ def _survivors(
     count = 0
     full = None if limit is None else 2 * limit
     head = None  # the first two entries of the limit-th key after the last cut
-
-    def times_one_minus(coeffs, b):
-        # coefficients below b are unchanged, and b never passes the first
-        # negative degree of coeffs, so the scan for a negative starts at b
-        tail = [c - d for c, d in zip(coeffs[b:], coeffs)]
-        negative = nonnegative
-        if min(tail, default=0) < 0:
-            negative = b + next(j for j, c in enumerate(tail) if c < 0)
-        return coeffs[:b] + tail, negative
+    # A partial numerator c is one integer whose W-bit digit i is c_i + 2^(W-1).
+    # A factor makes c'_i = c_i - c_(i-b), so max|c'| <= 2*max|c|, and after a
+    # walk's at most `largest` factors |c_i| <= max|T| << largest < 2^(W-1): every
+    # digit stays in [0, 2^W), none carries or borrows, and c_i < 0 exactly when
+    # bit W-1 of its digit is clear.  (1-x)^k/(1+x) reaches |c_i| = 2^k.  signs[b]
+    # holds bit W-1 of the digits b..D: the bias a factor (1-x^b) adds, and its scan.
+    width = (max(map(abs, target.coeffs)) << largest).bit_length() + 1
+    mask = (1 << (degree + 1) * width) - 1
+    top = sum(1 << (i * width + width - 1) for i in range(degree + 1))
+    signs = [top >> b * width << b * width for b in range(nonnegative + 1)]
+    guard = 1 << (nonnegative * width + width - 1)  # a sign bit that reads as `nonnegative`
 
     def offer(prefix, exponents, stop):
         # count one survivor whose greedy run stopped at degree stop, and pool its key
@@ -302,35 +296,40 @@ def _survivors(
             keys = heapq.nsmallest(limit, keys)
             head = keys[-1][:2]
 
-    def descend(prefix, coeffs, first_negative, next_lowest, exponents, k):
+    def descend(prefix, p, first_negative, next_lowest, exponents, k):
         # exponents holds a greedy run done below degree k, the prefix's last
         # factor degree unless the run stopped earlier or passed the truncation
         if len(prefix) >= smallest and first_negative == nonnegative:
             finished = exponents.copy()
             offer(prefix, finished, _extract(finished, k, degree + 1, max_factor_degree))
-        if len(prefix) < largest:
-            # a leaf survives iff coeffs[i] >= coeffs[i-b] for every i >= b, and
-            # only a survivor needs its run, which it takes to the end at once
-            leaves = len(prefix) + 1 == largest
-            for b in range(next_lowest, min(max_factor_degree, first_negative) + 1):
-                if leaves and not all(map(ge, coeffs[b:], coeffs)):
-                    continue
+        children = range(next_lowest, min(max_factor_degree, first_negative) + 1)
+        if len(prefix) + 1 < largest:
+            for b in children:
+                q = (p + signs[b] - (p << b * width)) & mask  # (1-x^b)*c
+                negative = signs[b] & ~q | guard  # b never passes c's first negative degree
                 child = exponents.copy()
                 if b <= degree:
                     child[b] -= 1
-                stop = _extract(child, k, degree + 1 if leaves else b, max_factor_degree)
-                if leaves:
-                    offer(prefix + (b,), child, stop)
-                else:
-                    descend(prefix + (b,), *times_one_minus(coeffs, b), b, child, stop)
+                stop = _extract(child, k, b, max_factor_degree)
+                first = (negative & -negative).bit_length() // width - 1
+                descend(prefix + (b,), q, first, b, child, stop)
+        elif len(prefix) < largest:
+            # a leaf survives iff its sign bits b..D are set; only survivors run to the end
+            for b in children:
+                if (p + signs[b] - (p << b * width)) & signs[b] == signs[b]:
+                    child = exponents.copy()
+                    if b <= degree:
+                        child[b] -= 1
+                    offer(prefix + (b,), child, _extract(child, k, degree + 1, max_factor_degree))
 
-    coeffs = list(target.coeffs)
-    if not anchored:
-        first_negative = next((n for n, c in enumerate(coeffs) if c < 0), nonnegative)
-        descend((), coeffs, first_negative, 1, target_exponents, 1)
-    elif largest >= 1:
-        # the one degree-1 factor goes first; the rest are drawn from 2 up
-        target_exponents[1] -= 1
-        stop = _extract(target_exponents, 1, 2, max_factor_degree)
-        descend((1,), *times_one_minus(coeffs, 1), 2, target_exponents, stop)
+    # an anchored walk puts the one degree-1 factor first and draws the rest from 2 up
+    prefix = (1,) if anchored else ()
+    if len(prefix) <= largest:
+        root = numerator_for_denominator(target, prefix, degree)
+        first_negative = next((n for n, c in enumerate(root) if c < 0), nonnegative)
+        if anchored:
+            target_exponents[1] -= 1
+        stop = _extract(target_exponents, 1, 1 + anchored, max_factor_degree)
+        p = sum(c << i * width for i, c in enumerate(root)) + signs[0]
+        descend(prefix, p, first_negative, 1 + anchored, target_exponents, stop)
     return count, sorted(keys)[:limit]

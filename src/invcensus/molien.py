@@ -64,27 +64,8 @@ The rule compares two closed-form estimates before either engine runs:
 the keys of p_rho times its shifts plus the Frobenius lookups per class, and
 the nonzero steps times the keys within reach per level.  p(m) and p_N(m)
 come from a recurrence, so the estimate stays cheap where p(m) is large
-(2x2 to 90 stays on the joint product).  In-process seconds on a 2-core
-Xeon, Python 3.11.7, medians of five (single runs for the joint product past
-4 s).  The rule misses the faster engine only on 1x5/16, a near tie:
-
-    system / D   joint     block     rule picks
-    1x3/12       0.0018    0.014     joint
-    1x4/16       0.060     0.28      joint
-    1x5/12       0.42      0.15      block
-    1x5/16       1.24      1.02      joint
-    1x6/12       4.1       0.58      block
-    2x2/16       0.0046    0.018     joint
-    2x2/24       0.012     0.19      joint
-    2x3/11       0.034     0.012     block
-    2x3/16       0.12      0.087     block
-    2x3/20       0.21      0.30      joint
-    2x3/24       0.37      1.02      joint
-    2x4/16       3.0       0.27      block
-    2x5/12       13.5      0.099     block
-    3x3/10       0.51      0.0043    block
-    3x4/8        4.8       0.0067    block
-    4x4/8        96        0.0038    block
+(2x2 to 90 stays on the joint product).  CHANGES.md (0.24.0) records the
+rule's picks against measured times.
 """
 
 from itertools import accumulate, permutations

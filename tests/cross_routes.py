@@ -1,11 +1,18 @@
 """One table of the cross-route checks, and the runner for the long checks.
 
 The census route (S_n characters) and the Molien route (Weyl constant terms)
-share no counting code, so their agreement is what the counts stand on.  Each
-row of ROUTES names a system N1 x N2 and a degree.  Every row compares the
-census series, the Molien series and the census series of the swapped system
-N2 x N1; a row with a closed form compares that too.  A tier-1 row runs
-in-process in tests/test_cross_routes.py, and there it runs both Molien
+meet only in CensusProblem, the degree limit, partitions_of and
+exact_quotient, so their agreement is what the counts stand on.  That holds
+in full for the Molien route's joint product.  Its block engine shares the
+census's class-sum reduction, F_n = (1/n!) sum_rho (n!/z_rho) Phi_N1(rho)
+Phi_N2(rho), and computes each Phi_N(rho) = sum_kappa chi_kappa(rho)^2 by
+Frobenius's formula instead of the border-strip walk: it checks the
+characters but not the reduction, which only the joint product checks.
+
+Each row of ROUTES names a system N1 x N2 and a degree.  Every row compares
+the census series, the Molien series and the census series of the swapped
+system N2 x N1; a row with a closed form compares that too.  A tier-1 row
+runs in-process in tests/test_cross_routes.py, and there it runs both Molien
 engines, the joint product and the block integrals, whichever the rule would
 pick.  A CI row runs as CLI processes (`molien --check`, with the engine the
 rule picks, then `census` on the swapped system) under a peak-RSS bound, and
@@ -18,10 +25,27 @@ Run every CI row, one child process and one printed line each:
 It exits nonzero if any row fails.  It uses only the standard library and
 puts src/ on the children's PYTHONPATH.  Peak RSS is the child's ru_maxrss
 from os.wait4, which Linux reports in KiB.
+
+Record a performance run of the same rows:
+
+    python tests/cross_routes.py --record BENCH_<version>.json --repeat k
+
+runs each row k times, checking every run as above, and prints the median
+seconds.  It appends one run to the record file's "runs" list, creating the
+file if needed, so one file can hold a before and an after.  A run holds
+the version, the commit (git describe, "-dirty" for uncommitted changes),
+the Python version, the CPU count, the median time of a short calibration
+loop that uses none of the package, and per row the median, least and
+greatest wall seconds, the largest peak RSS and the failures.
 """
 
+import argparse
 import json
 import os
+import platform
+import re
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -237,19 +261,80 @@ def run(argv: tuple) -> tuple:
         return os.waitstatus_to_exitcode(status), out.read().decode(), usage.ru_maxrss / 1024
 
 
-def main() -> int:
-    earlier, failed = {}, 0
-    for job in JOBS:
+def calibrate(repeats: int = 9) -> float:
+    """Median seconds of a fixed pure-Python loop that uses none of the package."""
+    times = []
+    for _ in range(repeats):
         start = time.perf_counter()
-        status, stdout, peak_mb = run(job.argv)
-        seconds = time.perf_counter() - start
-        failures = judge(job, status, stdout, peak_mb, earlier)
-        failed += bool(failures)
-        verdict = "FAIL" if failures else "ok"
-        line = f"{verdict:4} {job.name}: {seconds:.1f} s, peak RSS {peak_mb:.1f} MB"
-        line += f" (bound {job.rss_mb} MB)"
-        print("; ".join([line, *failures]), flush=True)
-    return 1 if failed else 0
+        total = 0
+        for i in range(200_000):
+            total += i * i % 7
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def summarize(runs: list) -> dict:
+    """One row of a record from its (seconds, peak RSS in MB, failures) runs."""
+    seconds = [s for s, _, _ in runs]
+    failures = list(dict.fromkeys(f for _, _, fails in runs for f in fails))
+    return {
+        "median_s": statistics.median(seconds),
+        "min_s": min(seconds),
+        "max_s": max(seconds),
+        "peak_rss_mb": max(peak for _, peak, _ in runs),
+        "failures": failures,
+    }
+
+
+def environment(repeat: int) -> dict:
+    """What a record says about the tree and the host it was measured on."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    (version,) = re.findall(r'^version = "([^"]+)"$', pyproject, re.MULTILINE)
+    try:
+        describe = ["git", "-C", str(ROOT), "describe", "--always", "--dirty", "--abbrev=12"]
+        commit = subprocess.run(describe, capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        commit = "unknown"
+    return {
+        "version": version,
+        "commit": commit,
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "calibration_s": calibrate(),
+        "repeat": repeat,
+    }
+
+
+def append_run(path: Path, run_record: dict) -> None:
+    """Add one run to the record file's "runs" list, creating the file if needed."""
+    document = json.loads(path.read_text()) if path.exists() else {"runs": []}
+    document["runs"].append(run_record)
+    path.write_text(json.dumps(document, indent=2) + "\n")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Run the CI rows and the long checks.")
+    parser.add_argument("--record", type=Path, help="append a performance run to this JSON file")
+    parser.add_argument("--repeat", type=int, default=1, help="runs of each row (default 1)")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    earlier, rows = {}, {}
+    for job in JOBS:
+        runs = []
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            status, stdout, peak_mb = run(job.argv)
+            seconds = time.perf_counter() - start
+            runs.append((seconds, peak_mb, judge(job, status, stdout, peak_mb, earlier)))
+        row = rows[job.name] = summarize(runs)
+        verdict = "FAIL" if row["failures"] else "ok"
+        line = f"{verdict:4} {job.name}: {row['median_s']:.1f} s,"
+        line += f" peak RSS {row['peak_rss_mb']:.1f} MB (bound {job.rss_mb} MB)"
+        print("; ".join([line, *row["failures"]]), flush=True)
+    if args.record:
+        append_run(args.record, {**environment(args.repeat), "rows": rows})
+    return 1 if any(row["failures"] for row in rows.values()) else 0
 
 
 if __name__ == "__main__":

@@ -330,6 +330,21 @@ def test_factor_rows_are_the_library_ranking(capsys, tmp_path, monkeypatch, opti
         ]
 
 
+def test_factor_fails_loudly_on_a_negative_shown_numerator(capsys, tmp_path, monkeypatch):
+    # (1, 1) leaves -1 at degree 1 of 1 + x + 4x^2 + ..., so the search never keeps it;
+    # a search that did would show a row whose nonnegativity claim is false
+    path = tmp_path / "target.json"
+    write_series_file(path, Series(TWO_BY_TWO))
+    key = (-11, 2, (1, 1), (), None)
+    monkeypatch.setattr(cli, "_survivors", lambda *args: (1, [key]))
+    status, out, err = run(
+        capsys, "factor", "--series-file", str(path), "--free-generators", "2"
+    )
+    assert status == 1
+    assert out == ""
+    assert "kept denominator (1, 1), whose numerator is -1 at degree 1" in err
+
+
 def test_factor_rejects_both_size_options(capsys, tmp_path):
     path = tmp_path / "target.json"
     write_series_file(path, Series(TWO_BY_TWO))

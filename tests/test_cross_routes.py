@@ -1,8 +1,10 @@
 import json
 
+import cross_routes
 import pytest
-from cross_routes import CI, JOBS, ROUTES, TIER1, dimension, expand, judge
+from cross_routes import CI, JOBS, ROUTES, TIER1, dimension, expand, judge, summarize
 
+import invcensus
 import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series
 
@@ -73,3 +75,53 @@ def test_kron_row_checks_the_dimension_identity():
     for multiplicity, passes in [(product, True), (product - 1, False)]:
         terms = [{"partition": [18], "multiplicity": multiplicity}]
         assert (judge(kron, 0, canned(terms=terms), 20.0, {}) == []) is passes
+
+
+def test_a_record_row_keeps_the_median_the_range_and_the_largest_peak():
+    runs = [(2.5, 20.0, []), (1.0, 24.5, ["a failure"]), (4.0, 21.0, ["a failure"])]
+    assert summarize(runs) == {
+        "median_s": 2.5,
+        "min_s": 1.0,
+        "max_s": 4.0,
+        "peak_rss_mb": 24.5,
+        "failures": ["a failure"],
+    }
+
+
+def test_record_run_from_canned_children(tmp_path, monkeypatch, capsys):
+    # no child process: every row gets the same canned output, the judge fails
+    # one row on its second of three runs, and git is not found
+    calls = []
+
+    def canned_judge(job, status, stdout, peak_mb, earlier):
+        calls.append(job.name)
+        return ["a failure"] if job.name == FACTOR and calls.count(FACTOR) % 3 == 2 else []
+
+    def no_git(*args, **kwargs):
+        raise OSError("no git")
+
+    monkeypatch.setattr(cross_routes, "run", lambda argv: (0, canned(), 20.0))
+    monkeypatch.setattr(cross_routes, "judge", canned_judge)
+    monkeypatch.setattr(cross_routes, "calibrate", lambda: 0.01)
+    monkeypatch.setattr(cross_routes.subprocess, "run", no_git)
+    path = tmp_path / "BENCH.json"
+    for round_ in (1, 2):  # each recording appends one run
+        assert cross_routes.main(["--record", str(path), "--repeat", "3"]) == 1
+        runs = json.loads(path.read_text())["runs"]
+        assert len(runs) == round_
+    assert len(calls) == 2 * 3 * len(JOBS)
+    record = runs[-1]
+    assert list(record) == ["version", "commit", "python", "cpus", "calibration_s", "repeat", "rows"]
+    assert record["version"] == invcensus.__version__
+    assert (record["commit"], record["repeat"]) == ("unknown", 3)
+    assert list(record["rows"]) == [job.name for job in JOBS]
+    for name, row in record["rows"].items():
+        assert row.keys() == {"median_s", "min_s", "max_s", "peak_rss_mb", "failures"}
+        assert row["min_s"] <= row["median_s"] <= row["max_s"]
+        assert row["peak_rss_mb"] == 20.0
+        assert row["failures"] == (["a failure"] if name == FACTOR else [])
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2 * len(JOBS)
+    assert [line for line in out if line.startswith("FAIL")] == [
+        line for line in out if line.startswith(f"FAIL {FACTOR}: ") and line.endswith("; a failure")
+    ]

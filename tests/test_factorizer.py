@@ -407,6 +407,14 @@ def _filter_then_fit(target, sizes, max_factor_degree):
 PRUNED_TARGET = Series([1, 3, 4, 4, 5, 7, 9, 10, 12])
 # a target whose numerators carry one factor degree several times
 REPEATED_TARGET = expand(RationalForm((2, 2, 2, 3), (1, 1)), 10)
+# coefficients past 2^64 above the factor cap, where big digits nearly cancel:
+# the walk's packed digits are 74 bits wide at max_total_factors 5
+WIDE_TARGET = Series([1, 2, 3, 4, 5, 2**66, 2**66 + 40, 2**67])
+# non-anchored targets negative at degree 2, of which nothing survives; with
+# digits one bit narrower than the width bound, the -5 in (1-x)*T = (1, 2, -5)
+# wraps round to a digit that reads as nonnegative, and (1,) would survive
+NEGATIVE_TARGET = Series([1, 3, -2, 4, 6])
+NARROW_TARGET = Series([1, 3, -2])
 
 
 @pytest.mark.parametrize(
@@ -421,13 +429,18 @@ REPEATED_TARGET = expand(RationalForm((2, 2, 2, 3), (1, 1)), 10)
         (REPEATED_TARGET, {"free_generators": 2, "max_factor_degree": 5}, [2]),
         # factor degrees past the target's truncation
         (Series([1, 2, 2, 2, 2]), {"max_total_factors": 3, "max_factor_degree": 6}, [1, 2, 3]),
+        (WIDE_TARGET, {"max_total_factors": 5, "max_factor_degree": 4}, [1, 2, 3, 4, 5]),
+        (NEGATIVE_TARGET, {"max_total_factors": 3, "max_factor_degree": 4}, [1, 2, 3]),
+        (NARROW_TARGET, {"free_generators": 1, "max_factor_degree": 3}, [1]),
     ],
 )
 def test_search_equals_filter_then_fit(target, kwargs, sizes):
     expected = _filter_then_fit(target, sizes, kwargs["max_factor_degree"])
     reports = search_candidates(target, **kwargs)
     assert [_report_row(r) for r in reports] == [row[:-1] for row in expected]
-    assert reports
+    # a factor (1-x^b) never lifts the first negative coefficient, so only a
+    # nonnegative target has survivors
+    assert bool(reports) == (min(target) >= 0)
     # reports keep no numerator; recomputing it for a survivor gives the filter's
     for r, row in zip(reports, expected):
         dens = r.candidate.denominator_degrees
