@@ -27,8 +27,13 @@ subtree in which nothing survives, and that subtree is skipped.
 import heapq
 from dataclasses import dataclass
 
-from .errors import exact_quotient, require_int
+from .errors import ResourceLimitError, exact_quotient, require_int
 from .series import Series
+
+# A rank key lists each (1+x^a) factor of the numerator, so a target whose Euler
+# exponent e_j is huge at a degree j within the factor cap is refused before
+# its key is built: 2^70 factors cannot be listed, 2^40 would take terabytes.
+MAX_NUMERATOR_FACTORS = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +175,11 @@ def _key(target: Series, exponents: list[int], stop: int, denominator_degrees: t
     """
     factors = []
     for j in range(1, stop):
+        if len(factors) + exponents[j] > MAX_NUMERATOR_FACTORS:
+            raise ResourceLimitError(
+                f"the numerator would take e_{j} = {exponents[j]} factors (1+x^{j}), past "
+                f"the bound of {MAX_NUMERATOR_FACTORS} numerator factors"
+            )
         factors += [j] * exponents[j]
     mismatch = None
     if stop <= target.degree:

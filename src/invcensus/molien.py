@@ -23,17 +23,15 @@ division, and each level is Haar-averaged to g_n.  The zero weights add the
 scalar factor 1/(1 - t)^(N1·N2), and multiplying by 1/(1 - t) is a running
 sum, so F is g after N1·N2 prefix sums.
 
-The Weyl factor Delta(a)·Delta(b) is kept as its two block factors, each built
-from its block's nonzero steps: a joint key is ka + kb·B^(N1-1), so the Haar
-average needs no joint product (on 5x5 that product has 8.8 M keys).  It reads
-only the keys in the factor's support, so the product keeps only keys that can
-still reach the factor's per-digit range [lo_i, hi_i]: the a-block's ranges,
-then the b-block's.  Each step moves each digit by at most 1 and raises the
-level by 1, so a key at level k whose digit i lies farther than D - k from
-[lo_i, hi_i] has no descendant in that range at any level up to D, and it is
-dropped when it would first enter its level.  This is exact: every path to a
-kept key passes only through keys within reach, so each kept key keeps its
-full coefficient, and no dropped key is in the Weyl factor's support.
+The Weyl factor Delta(a)·Delta(b) is kept as its two block factors: a joint
+key is ka + kb·B^(N1-1), so the Haar average is a sum over pairs of block keys
+and needs no joint product (on 5x5 it has 8.8 M keys).  The product keeps only
+keys that can still reach the factor's per-digit range [lo_i, hi_i].  Each
+step moves each digit by at most 1 and raises the level by 1, so a level-k key
+whose digit i lies farther than D - k from [lo_i, hi_i] has no descendant
+there up to level D; it is dropped when it would first enter its level.  This
+is exact: every path to a kept key passes only through keys within reach, and
+no dropped key is in the factor's support.
 
 The block engine integrates one block at a time.  The adjoint power sums
 factor, p_k(adj_1 (x) adj_2) = |p_k(x)|^2·|p_k(y)|^2, so Newton's identity
@@ -45,14 +43,18 @@ h_n = sum_rho p_rho / z_rho splits the integral into one per block:
 and Frobenius's formula reads each character off the power sums of the
 block's N variables: chi_kappa(rho) = sum_{w in S_N} sgn(w)·[x^(kappa +
 delta - w·delta)] p_rho(x), delta = (N-1, .., 0) (Macdonald, Symmetric
-Functions and Hall Polynomials, ch. I).  One depth-first walk over the cycle
-types rho, parts nondecreasing and z_rho carried as in the census, holds p_rho
-for each block as a dict on packed exponent keys with base D + N; each
-appended part r multiplies it by p_r = sum_i x_i^r.  Every exponent of p_rho
-is at most n <= D and every digit of kappa + delta is below D + N, so no digit
-carries; a digit of kappa + delta at or past the base is rejected.  I_1 = 1,
-and I_N(rho) = z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each
-F_n is errors.exact_quotient of its class sum by n!.
+Functions and Hall Polynomials, ch. I).  A shape of size m has at most m
+rows, so I_N(rho) = I_min(N, |rho|)(rho) and each block runs at
+min(N, max(D, 1)) rows.  A term with a negative exponent is zero, and the rows
+of kappa + delta past l(kappa) read (.., 1, 0), so w fixes them: the terms
+come from placing delta's top l(kappa) values row by row, at most l(kappa)!
+per shape.  One depth-first walk over the cycle types rho, as in the census,
+holds p_rho for each block as a dict on packed exponent keys with base D + N,
+and each appended part r multiplies it by p_r = sum_i x_i^r.  Exponents of
+p_rho are at most D and digits of kappa + delta below D + N, so no digit
+carries; a digit at or past the base is rejected.  I_1 = 1, and I_N(rho) =
+z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each F_n is
+errors.exact_quotient of its class sum by n!.
 
 The rule compares two closed-form estimates before either engine runs:
 
@@ -61,14 +63,14 @@ The rule compares two closed-form estimates before either engine runs:
     joint ~ (N1^2·N2^2 - N1·N2) · sum_{k<=D} prod_{blocks, j<N}
               min(2k + 1, 2j(N - j) + 1 + 2(D - k)),
 
-the keys of p_rho times its shifts plus the Frobenius lookups per class, and
-the nonzero steps times the keys within reach per level.  p(m) and p_N(m)
-come from a recurrence, so the estimate stays cheap where p(m) is large
-(2x2 to 90 stays on the joint product).  CHANGES.md (0.24.0) records the
-rule's picks against measured times.
+with N capped as above: the keys of p_rho times its shifts plus a bound on
+the Frobenius lookups per class, and the nonzero steps times the keys within
+reach per level.  p(m) and p_N(m) come from a recurrence, so the estimate
+stays cheap where p(m) is large (2x2 to 90 stays on the joint product).
+CHANGES.md (0.24.0) records the rule's picks against measured times.
 """
 
-from itertools import accumulate, permutations
+from itertools import accumulate
 from math import comb, factorial, prod
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
@@ -198,21 +200,14 @@ def _haar_average(terms: dict, weyl: tuple, split: int, problem: CensusProblem) 
     """(1/N1!N2!) · constant term of terms · Delta(a)·Delta(b), as an exact integer.
 
     weyl is the block pair (Delta(a), Delta(b)) and a joint key is ka + kb·split.
-    The roots come in pairs ±r, so the Weyl factor is invariant under
-    inverting the variables and the constant term is sum_e terms[e]·weyl[e].
-    The sum runs over whichever side is smaller: the pairs of block keys, or
-    the keys of terms, each split into its two block keys.
+    The roots come in pairs ±r, so the Weyl factor is invariant under inverting
+    the variables: the constant term is sum_e terms[e]·weyl[e], over key pairs.
     """
     delta_a, delta_b = weyl
-    if len(delta_a) * len(delta_b) < len(terms):
-        numerator = 0
-        for kb, cb in delta_b.items():
-            shift = kb * split
-            numerator += cb * sum(ca * terms.get(ka + shift, 0) for ka, ca in delta_a.items())
-    else:
-        numerator = sum(
-            c * delta_a.get(e % split, 0) * delta_b.get(e // split, 0) for e, c in terms.items()
-        )
+    numerator = 0
+    for kb, cb in delta_b.items():
+        shift = kb * split
+        numerator += cb * sum(ca * terms.get(ka + shift, 0) for ka, ca in delta_a.items())
     order = factorial(problem.n1) * factorial(problem.n2)
     return exact_quotient(numerator, order, "Haar average for {}x{}", problem.n1, problem.n2)
 
@@ -256,26 +251,27 @@ def _frobenius_terms(size: int, degree: int, base: int) -> list:
     each kappa + delta - w·delta with no negative entry, w in S_size, so that
     chi_kappa(rho) = sum sgn w · p_rho[key].
 
-    A digit of kappa + delta at or past the base would carry into the next,
-    so it is rejected before anything is packed.
+    Each such w places delta's top l(kappa) values in the first l(kappa) rows,
+    each at most its row's entry of kappa + delta.  sgn w is the parity of the
+    pairs w puts in increasing order, so a placed value flips it once for each
+    larger value still unplaced.  A digit of kappa + delta at or past the base
+    would carry into the next, so it is rejected before anything is packed.
     """
-    delta = range(size - 1, -1, -1)
-    # w·delta is a reordering of the decreasing delta, so sgn w is the parity
-    # of the pairs it puts in increasing order
-    signed = [
-        (w, -1 if sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]) % 2 else 1)
-        for w in permutations(delta)
-    ]
     terms = []
     for shape in partitions_of(degree, size):
-        top = [part + d for part, d in zip(shape + (0,) * size, delta)]
-        if max(top) >= base:
+        top = [part + size - 1 - i for i, part in enumerate(shape)]
+        if max(top, default=0) >= base:
             raise ConsistencyError(f"shape {shape} has a digit past the base {base}")
-        terms.append([
-            (_packed(v, base), sign)
-            for w, sign in signed
-            if min(v := [t - d for t, d in zip(top, w)]) >= 0
-        ])
+        # (key, sign, values still unplaced, largest first) per placement so far
+        placed = [(0, 1, tuple(range(size - 1, size - 1 - len(shape), -1)))]
+        for i, row in enumerate(top):
+            placed = [
+                (key + (row - v) * base**i, sign * (-1) ** j, free[:j] + free[j + 1 :])
+                for key, sign, free in placed
+                for j, v in enumerate(free)  # j larger values are still unplaced
+                if v <= row
+            ]
+        terms.append([(key, sign) for key, sign, _ in placed])
     return terms
 
 
@@ -298,7 +294,8 @@ def _block_integral(poly: dict, terms: list) -> int:
 
 def _block_series(problem: CensusProblem, max_degree: int) -> Series:
     """F_0 .. F_max_degree as one class sum of the block integrals I_N1·I_N2."""
-    sizes = sorted({problem.n1, problem.n2} - {1})  # I_1 = 1
+    rows = [min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)]  # I_N = I_min(N, |rho|)
+    sizes = sorted(set(rows) - {1})  # I_1 = 1
     bases = [max_degree + size for size in sizes]
     terms = [
         [_frobenius_terms(size, m, base) for m in range(max_degree + 1)]
@@ -311,7 +308,7 @@ def _block_series(problem: CensusProblem, max_degree: int) -> Series:
         integrals = {1: 1}
         for size, poly, by_degree in zip(sizes, powers, terms):
             integrals[size] = _block_integral(poly, by_degree[m])
-        totals[m] += orders[m] // z * integrals[problem.n1] * integrals[problem.n2]
+        totals[m] += orders[m] // z * integrals[rows[0]] * integrals[rows[1]]
         for length in range(last, max_degree - m + 1):
             grown = [
                 _times_power_sum(poly, length, base, size)
@@ -339,10 +336,11 @@ def _partition_counts(largest: int, top: int) -> list:
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
     """Predicted work of _block_series: per class of S_m, each block's p_rho
-    (C(m+N-1, N-1) keys, N shifts each) and its Frobenius lookups."""
+    (C(m+N-1, N-1) keys, N shifts each) and p_N(m)·N! Frobenius lookups, an
+    upper bound kept because the rule's picks were timed against it."""
     classes = _partition_counts(max_degree, max_degree)
     cost = 0
-    for size in {problem.n1, problem.n2} - {1}:
+    for size in {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)} - {1}:
         shapes = _partition_counts(size, max_degree)
         cost += sum(
             classes[m] * (comb(m + size - 1, size - 1) * size + shapes[m] * factorial(size))

@@ -230,6 +230,11 @@ LONG = (
     Job("factor 2x2-to-16 cap 14", _factor(14), 40, _equals("candidate_count", 257650)),
     Job("char (12,10,8,6,4) at 1^40", ("char", ",".join(map(str, SHAPE_40)), ",".join(["1"] * 40)),
         30, _equals("value", dimension(SHAPE_40))),
+    # blocks past 5x5: the block engine places at most l(kappa)! terms per shape
+    # and runs each block at min(N, D) rows
+    *_route_jobs(Route(8, 8, 8, CI, rss_mb=40)),
+    *_route_jobs(Route(9, 9, 9, CI, rss_mb=40)),
+    *_route_jobs(Route(12, 12, 6, CI, rss_mb=40)),
 )
 
 JOBS = tuple(job for route in ROUTES if route.where == CI for job in _route_jobs(route)) + LONG

@@ -345,6 +345,17 @@ def test_factor_fails_loudly_on_a_negative_shown_numerator(capsys, tmp_path, mon
     assert "kept denominator (1, 1), whose numerator is -1 at degree 1" in err
 
 
+def test_factor_refuses_a_huge_euler_exponent(capsys, tmp_path):
+    # e_1 = 2^70 within the factor cap: the rank key would list 2^70 factors (1+x)
+    path = tmp_path / "target.json"
+    write_series_file(path, Series([1, 2**70, 5, 7]))
+    status, out, err = run(capsys, "factor", "--series-file", str(path), "--free-generators", "1")
+    assert status == 1
+    assert out == ""
+    assert f"e_1 = {2**70} factors (1+x^1), past the bound of 65536 numerator factors" in err
+    assert "Traceback" not in err
+
+
 def test_factor_rejects_both_size_options(capsys, tmp_path):
     path = tmp_path / "target.json"
     write_series_file(path, Series(TWO_BY_TWO))

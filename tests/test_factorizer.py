@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -8,8 +9,9 @@ from pathlib import Path
 import pytest
 
 import invcensus.factorizer as factorizer
-from invcensus.errors import ConsistencyError
+from invcensus.errors import ConsistencyError, ResourceLimitError
 from invcensus.factorizer import (
+    MAX_NUMERATOR_FACTORS,
     FitReport,
     RationalForm,
     _anchored,
@@ -451,6 +453,26 @@ def test_search_equals_filter_then_fit(target, kwargs, sizes):
             target, r.candidate.denominator_degrees, max_factor_degree=kwargs["max_factor_degree"]
         )
         assert _report_row(alone) == _report_row(r)
+
+
+@pytest.mark.parametrize("exponent", [2**40, 2**70])
+def test_a_huge_euler_exponent_is_refused_before_its_key_is_built(exponent):
+    # e_1 = 2^40 would list 2^40 factors (1+x); 2^70 cannot be a list length at all
+    target = Series([1, exponent, 5, 7])
+    started = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=rf"e_1 = {exponent} factors \(1\+x\^1\)"):
+        search_candidates(target, free_generators=1)
+    with pytest.raises(ResourceLimitError, match=rf"e_1 = {exponent} factors"):
+        fit_denominator(target, (2,))
+    assert time.perf_counter() - started < 1
+
+
+def test_the_numerator_factor_bound_is_inclusive():
+    # 1 + e·x is (1+x)^e through degree 1, so e_1 = e and the numerator lists e factors
+    report = fit_denominator(Series([1, MAX_NUMERATOR_FACTORS]), ())
+    assert report.candidate.numerator_degrees == (1,) * MAX_NUMERATOR_FACTORS
+    with pytest.raises(ResourceLimitError, match="past the bound of 65536 numerator factors"):
+        fit_denominator(Series([1, MAX_NUMERATOR_FACTORS + 1]), ())
 
 
 def test_pruned_target_is_negative_below_the_next_factor():

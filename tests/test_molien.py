@@ -1,6 +1,6 @@
 import ast
 from collections import Counter
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -379,15 +379,12 @@ def joint_weyl_factor(problem, off):
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 3), (3, 1), (2, 3), (3, 2), (3, 3)])
-def test_both_haar_branches_equal_the_joint_expansion(n1, n2):
-    # a level with more keys than there are pairs of block keys is summed over
-    # the pairs, a smaller one over its own keys; levels 0..6 take both sides
+def test_haar_sum_equals_the_joint_expansion(n1, n2):
+    # the sum over pairs of block keys reads the constant term against the
+    # joint Weyl factor at every level
     problem, n = CensusProblem(n1, n2), 6
     levels, _, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
     joint = joint_weyl_factor(problem, off)
-    (delta_a, delta_b), _ = weyl_blocks(problem, off)
-    pairs = len(delta_a) * len(delta_b)
-    assert min(map(len, levels)) <= pairs < max(map(len, levels))
     order = factorial(n1) * factorial(n2)
     for level in levels:
         quotient, remainder = divmod(sum(c * joint.get(e, 0) for e, c in level.items()), order)
@@ -461,6 +458,36 @@ def block_integral(size, rho):
     return molien._block_integral(power_sum_product(size, rho, base), terms)
 
 
+def all_permutation_terms(size, degree, base):
+    """Frobenius terms by listing all size! permutations w of delta and keeping
+    each kappa + delta - w·delta with no negative entry; sgn w is the parity of
+    the pairs w puts in increasing order."""
+    delta = range(size - 1, -1, -1)
+    signed = [
+        (w, (-1) ** sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]))
+        for w in permutations(delta)
+    ]
+    terms = []
+    for shape in partitions_of(degree, size):
+        top = [part + d for part, d in zip(shape + (0,) * size, delta)]
+        terms.append([
+            (molien._packed(v, base), sign)
+            for w, sign in signed
+            if min(v := [t - d for t, d in zip(top, w)]) >= 0
+        ])
+    return terms
+
+
+@pytest.mark.parametrize("size", range(1, 8))
+def test_row_placements_are_the_admissible_permutations(size):
+    # each shape's (key, sign) multiset, at the base the block engine uses
+    for degree in range(11):
+        base = degree + size
+        placed = molien._frobenius_terms(size, degree, base)
+        listed = all_permutation_terms(size, degree, base)
+        assert [Counter(t) for t in placed] == [Counter(t) for t in listed]
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
 def test_block_integral_is_the_sum_of_squared_characters(size):
     # I_N(rho) = sum over kappa with at most N rows of chi_kappa(rho)^2, the
@@ -477,6 +504,21 @@ def test_block_integral_is_z_in_the_stable_range(size):
     for m in range(size + 1):
         for rho in partitions_of(m):
             assert block_integral(size, rho) == z_order(rho)
+
+
+@pytest.mark.parametrize(
+    "n1, n2, max_degree", [(6, 6, 4), (7, 3, 5), (9, 9, 3), (3, 9, 6), (12, 12, 6)]
+)
+def test_block_engine_equals_the_census_past_the_degree(n1, n2, max_degree):
+    # a block with more rows than the degree runs at min(N, D) rows
+    problem = CensusProblem(n1, n2)
+    census = generating_series(problem, max_degree, degree_limit=max_degree)
+    assert molien._block_series(problem, max_degree) == census
+
+
+def test_joint_product_equals_the_census_past_the_degree():
+    problem = CensusProblem(6, 2)
+    assert molien._joint_series(problem, 4) == generating_series(problem, 4)
 
 
 def test_block_engine_rejects_a_digit_at_the_base(monkeypatch):
