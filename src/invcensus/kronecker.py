@@ -10,7 +10,8 @@ Every coefficient then passes errors.exact_quotient by n! and a sign check, so
 a wrong character value surfaces as a loud non-integrality (or negativity)
 failure instead of a silently wrong count.
 Expansions and pair weights reuse one weight vector for all their nu and do
-not fill the coefficient memo behind kronecker_coefficient.
+not fill the coefficient memo behind kronecker_coefficient.  An expansion
+needs every row of S_n, so weights past MAX_EXPANSION_N are refused.
 
 A pair weight sums g(lam,lam,sigma) g(mu,mu,sigma) over sigma with at most a
 given number of parts.  By Dvir's theorem (J. Algebra 154, 1993) the longest
@@ -28,9 +29,13 @@ from math import factorial
 from operator import mul
 
 from .characters import _rows
-from .errors import ConsistencyError, exact_quotient, require_int
+from .errors import ConsistencyError, ResourceLimitError, exact_quotient, require_int
 from .partitions import Partition, as_partition, class_sizes, common_weight
 from .partitions import conjugate, partitions_of
+
+# Each step in n costs an expansion about 1.6 times the last in time and
+# memory; a whole `kron` process at n = 24 takes about 1 s and 84 MB.
+MAX_EXPANSION_N = 24
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,6 +92,10 @@ def inner_product_expansion(lam: Partition, mu: Partition) -> SchurExpansion:
     """Full decomposition of the Kronecker product lam * mu."""
     lam, mu = as_partition(lam), as_partition(mu)
     n = common_weight(lam, mu)
+    if n > MAX_EXPANSION_N:
+        raise ResourceLimitError(
+            f"Kronecker expansion too large: n={n} exceeds the limit {MAX_EXPANSION_N}"
+        )
     rows = _rows(partitions_of(n))
     weights = _weights(rows, lam, mu)
     terms = {}

@@ -2,7 +2,8 @@
 
 Terms are kept in a dict from integer exponent vectors (tuples, negatives
 allowed) to coefficients; zero coefficients are pruned on construction.
-This is the value type that the Molien route's public views return.
+No counting code uses it: the module stays only because the benchmark's
+child process (bench/child.py) looks it up under --trace 1.
 """
 
 

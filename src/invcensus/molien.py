@@ -49,16 +49,16 @@ min(N, max(D, 1)) rows.  A term with a negative exponent is zero, and the rows
 of kappa + delta past l(kappa) read (.., 1, 0), so w fixes them: the terms
 come from placing delta's top l(kappa) values row by row, at most l(kappa)!
 per shape.  One depth-first walk over the cycle types rho, as in the census,
-holds p_rho for each block as a dict on packed exponent keys with base D + N,
-and each appended part r multiplies it by p_r = sum_i x_i^r.  Exponents of
-p_rho are at most D and digits of kappa + delta below D + N, so no digit
-carries; a digit at or past the base is rejected.  I_1 = 1, and I_N(rho) =
-z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each F_n is
-errors.exact_quotient of its class sum by n!.
+holds p_rho for each block as a dict on packed exponent keys with one base,
+D + N of the larger block, and each appended part r multiplies it by p_r =
+sum_i x_i^r.  Exponents of p_rho are at most D and digits of kappa + delta
+below the base, so no digit carries; a digit at or past it is rejected.  A
+1-row block takes the same path, and I_N(rho) = z_rho once N >= |rho|
+(Diaconis and Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
 
 The rule compares two closed-form estimates before either engine runs:
 
-    block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}, N > 1}
+    block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}}
               (C(m+N-1, N-1)·N + p_N(m)·N!),
     joint ~ (N1^2·N2^2 - N1·N2) · sum_{k<=D} prod_{blocks, j<N}
               min(2k + 1, 2j(N - j) + 1 + 2(D - k)),
@@ -295,25 +295,20 @@ def _block_integral(poly: dict, terms: list) -> int:
 def _block_series(problem: CensusProblem, max_degree: int) -> Series:
     """F_0 .. F_max_degree as one class sum of the block integrals I_N1·I_N2."""
     rows = [min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)]  # I_N = I_min(N, |rho|)
-    sizes = sorted(set(rows) - {1})  # I_1 = 1
-    bases = [max_degree + size for size in sizes]
-    terms = [
-        [_frobenius_terms(size, m, base) for m in range(max_degree + 1)]
-        for size, base in zip(sizes, bases)
-    ]
+    sizes = sorted(set(rows))
+    base = max_degree + max(rows)
+    terms = [[_frobenius_terms(size, m, base) for m in range(max_degree + 1)] for size in sizes]
     orders = [factorial(m) for m in range(max_degree + 1)]
     totals = [0] * (max_degree + 1)
 
     def grow(m: int, powers: list, last: int, repeats: int, z: int) -> None:
-        integrals = {1: 1}
-        for size, poly, by_degree in zip(sizes, powers, terms):
-            integrals[size] = _block_integral(poly, by_degree[m])
+        integrals = {
+            size: _block_integral(poly, by_degree[m])
+            for size, poly, by_degree in zip(sizes, powers, terms)
+        }
         totals[m] += orders[m] // z * integrals[rows[0]] * integrals[rows[1]]
         for length in range(last, max_degree - m + 1):
-            grown = [
-                _times_power_sum(poly, length, base, size)
-                for size, base, poly in zip(sizes, bases, powers)
-            ]
+            grown = [_times_power_sum(poly, length, base, size) for size, poly in zip(sizes, powers)]
             count = repeats + 1 if length == last else 1
             grow(m + length, grown, length, count, z * length * count)
 
@@ -340,7 +335,7 @@ def _block_cost(problem: CensusProblem, max_degree: int) -> int:
     upper bound kept because the rule's picks were timed against it."""
     classes = _partition_counts(max_degree, max_degree)
     cost = 0
-    for size in {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)} - {1}:
+    for size in {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}:
         shapes = _partition_counts(size, max_degree)
         cost += sum(
             classes[m] * (comb(m + size - 1, size - 1) * size + shapes[m] * factorial(size))

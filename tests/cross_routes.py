@@ -12,11 +12,13 @@ characters but not the reduction, which only the joint product checks.
 Each row of ROUTES names a system N1 x N2 and a degree.  Every row compares
 the census series, the Molien series and the census series of the swapped
 system N2 x N1; a row with a closed form compares that too.  A tier-1 row
-runs in-process in tests/test_cross_routes.py, and there it runs both Molien
-engines, the joint product and the block integrals, whichever the rule would
-pick.  A CI row runs as CLI processes (`molien --check`, with the engine the
-rule picks, then `census` on the swapped system) under a peak-RSS bound, and
-so do the other long checks in LONG, each with its pinned expectation.
+runs in-process in tests/test_cross_routes.py, whichever engine the rule
+would pick: every row runs the block engine, and a row whose blocks both have
+at most 5 rows also runs the joint product, whose cost past that grows out of
+tier-1 reach.  A CI row runs as CLI processes (`molien --check`, with the
+engine the rule picks, then `census` on the swapped system) under a peak-RSS
+bound, and so do the other long checks in LONG, each with its pinned
+expectation.
 
 Run every CI row, one child process and one printed line each:
 
@@ -111,7 +113,9 @@ class Route:
 
 # Every 1 <= N1 <= N2 <= 5 has a row.  The 2x1 and 3x2 rows run the Molien
 # route with the larger block first; their swaps run the census both ways.
-# 1x2 runs it with an a-block of no digit, so a joint key is its b-key.
+# 1x2 runs it with an a-block of no digit, so a joint key is its b-key.  The
+# rows past 5x5 have blocks with more rows than the degree, which the block
+# engine runs at min(N, D) rows and whose shapes get at most l(kappa)! terms.
 ROUTES = (
     Route(1, 1, 12, closed_form=one_by(1)),
     Route(1, 2, 12, closed_form=one_by(2)),
@@ -127,6 +131,11 @@ ROUTES = (
     Route(3, 4, 5),
     Route(3, 5, 4),
     Route(4, 4, 4),
+    Route(6, 6, 4),
+    Route(7, 3, 5),
+    Route(9, 9, 3),
+    Route(3, 9, 6),
+    Route(12, 12, 6),
     Route(2, 2, 40, CI, TWO_BY_TWO, rss_mb=30),
     Route(2, 3, 24, CI, rss_mb=40),
     Route(3, 3, 12, CI, rss_mb=40),
@@ -135,6 +144,9 @@ ROUTES = (
     Route(4, 4, 12, CI, rss_mb=40),
     Route(5, 5, 8, CI, rss_mb=40),
     Route(2, 5, 16, CI, rss_mb=40),
+    Route(8, 8, 8, CI, rss_mb=40),
+    Route(9, 9, 9, CI, rss_mb=40),
+    Route(12, 12, 6, CI, rss_mb=40),
 )
 
 
@@ -230,11 +242,6 @@ LONG = (
     Job("factor 2x2-to-16 cap 14", _factor(14), 40, _equals("candidate_count", 257650)),
     Job("char (12,10,8,6,4) at 1^40", ("char", ",".join(map(str, SHAPE_40)), ",".join(["1"] * 40)),
         30, _equals("value", dimension(SHAPE_40))),
-    # blocks past 5x5: the block engine places at most l(kappa)! terms per shape
-    # and runs each block at min(N, D) rows
-    *_route_jobs(Route(8, 8, 8, CI, rss_mb=40)),
-    *_route_jobs(Route(9, 9, 9, CI, rss_mb=40)),
-    *_route_jobs(Route(12, 12, 6, CI, rss_mb=40)),
 )
 
 JOBS = tuple(job for route in ROUTES if route.where == CI for job in _route_jobs(route)) + LONG

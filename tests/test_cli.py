@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -170,6 +171,16 @@ def test_kron_parse_error(capsys):
     assert status == 1
     assert out == ""
     assert "weakly decreasing" in err
+
+
+def test_kron_refuses_a_weight_past_the_expansion_bound(capsys):
+    # S_25 has 1,958 shapes; the bound refuses before any row is built
+    start = time.perf_counter()
+    status, out, err = run(capsys, "kron", "25", "25")
+    assert time.perf_counter() - start < 1
+    assert status == 1
+    assert out == ""
+    assert err == "error: Kronecker expansion too large: n=25 exceeds the limit 24\n"
 
 
 def test_kron_json(capsys):
@@ -354,6 +365,17 @@ def test_factor_refuses_a_huge_euler_exponent(capsys, tmp_path):
     assert out == ""
     assert f"e_1 = {2**70} factors (1+x^1), past the bound of 65536 numerator factors" in err
     assert "Traceback" not in err
+
+
+def test_factor_reports_no_candidates(capsys, tmp_path):
+    # a negative coefficient at degree 2 leaves every denominator's numerator
+    # negative below the truncation, so the sweep keeps none
+    path = tmp_path / "target.json"
+    write_series_file(path, Series([1, 3, -2, 4, 6]))
+    argv = ("factor", "--series-file", str(path), "--max-total-factors", "3")
+    assert run(capsys, *argv) == (0, "no candidates found\n", "")
+    doc = run_json(capsys, *argv, "--format", "json")
+    assert doc["result"] == {"candidate_count": 0, "candidates": []}
 
 
 def test_factor_rejects_both_size_options(capsys, tmp_path):

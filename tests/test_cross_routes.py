@@ -13,8 +13,9 @@ from invcensus.census import CensusProblem, generating_series
 def test_cross_route_row(row):
     problem = CensusProblem(row.n1, row.n2)
     census = generating_series(problem, row.degree, row.degree)
-    assert molien._joint_series(problem, row.degree) == census
     assert molien._block_series(problem, row.degree) == census
+    if max(row.n1, row.n2) <= 5:
+        assert molien._joint_series(problem, row.degree) == census
     if row.n1 != row.n2:
         assert generating_series(CensusProblem(row.n2, row.n1), row.degree, row.degree) == census
     if row.closed_form:
@@ -23,7 +24,7 @@ def test_cross_route_row(row):
 
 def test_table_covers_every_system_up_to_5x5():
     systems = {tuple(sorted((row.n1, row.n2))) for row in ROUTES}
-    assert systems == {(n1, n2) for n2 in range(1, 6) for n1 in range(1, n2 + 1)}
+    assert systems >= {(n1, n2) for n2 in range(1, 6) for n1 in range(1, n2 + 1)}
     assert {row.where for row in ROUTES} == {TIER1, CI}
     assert all(row.rss_mb for row in ROUTES if row.where == CI)
 

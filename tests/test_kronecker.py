@@ -6,7 +6,7 @@ import pytest
 import invcensus
 from invcensus import kronecker
 from invcensus.characters import _rows, character
-from invcensus.errors import ConsistencyError, WeightMismatchError
+from invcensus.errors import ConsistencyError, ResourceLimitError, WeightMismatchError
 from invcensus.kronecker import (
     SchurExpansion,
     inner_product_expansion,
@@ -377,3 +377,14 @@ def test_expansion_and_pair_weight_past_the_table_cap(n):
     assert dimensions == dimension(lam) * dimension(mu)
     assert pair_weight(lam, mu, n) == sum(g * g for g in terms.values())
     assert pair_weight(lam, mu, 1) == 1
+
+
+def test_expansion_refuses_a_weight_past_its_bound(monkeypatch):
+    # the bound is checked before any row of S_n is built
+    def no_rows(irreps):
+        raise AssertionError("a row was built")
+
+    monkeypatch.setattr(kronecker, "_rows", no_rows)
+    n = kronecker.MAX_EXPANSION_N + 1
+    with pytest.raises(ResourceLimitError, match=f"n={n} exceeds the limit {n - 1}"):
+        inner_product_expansion((n,), (n - 1, 1))

@@ -506,16 +506,6 @@ def test_block_integral_is_z_in_the_stable_range(size):
             assert block_integral(size, rho) == z_order(rho)
 
 
-@pytest.mark.parametrize(
-    "n1, n2, max_degree", [(6, 6, 4), (7, 3, 5), (9, 9, 3), (3, 9, 6), (12, 12, 6)]
-)
-def test_block_engine_equals_the_census_past_the_degree(n1, n2, max_degree):
-    # a block with more rows than the degree runs at min(N, D) rows
-    problem = CensusProblem(n1, n2)
-    census = generating_series(problem, max_degree, degree_limit=max_degree)
-    assert molien._block_series(problem, max_degree) == census
-
-
 def test_joint_product_equals_the_census_past_the_degree():
     problem = CensusProblem(6, 2)
     assert molien._joint_series(problem, 4) == generating_series(problem, 4)
@@ -531,14 +521,14 @@ def test_block_engine_rejects_a_digit_at_the_base(monkeypatch):
 
 
 def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
-    # an extra monomial in each p_rho·p_2 leaves p_rho asymmetric, and what is
-    # read off it is no virtual character: F_4 of 2x1 sums to 87, not a
-    # multiple of 4! = 24
+    # an extra monomial in each p_rho·p_2 of the 2-row block leaves p_rho
+    # asymmetric, and what is read off it is no virtual character: F_4 of 2x1
+    # sums to 87, not a multiple of 4! = 24
     times = molien._times_power_sum
 
     def corrupted(poly, length, base, size):
         out = times(poly, length, base, size)
-        if length == 2:
+        if length == 2 and size > 1:
             out[max(out)] += 1
         return out
 
@@ -549,16 +539,22 @@ def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
 
 def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
     # a sum of squares cannot go negative, so only a corrupted integral can
-    # make F_n negative; 2x1 has one block with N > 1
+    # make F_n negative.  Only the 2-row block's integrals are negated (a 1-row
+    # p_rho has one term); negating both blocks' would cancel the sign.
     integral = molien._block_integral
-    monkeypatch.setattr(molien, "_block_integral", lambda poly, terms: -integral(poly, terms))
+
+    def negated(poly, terms):
+        return -integral(poly, terms) if len(poly) > 1 else integral(poly, terms)
+
+    monkeypatch.setattr(molien, "_block_integral", negated)
     with pytest.raises(ConsistencyError, match="came out negative"):
         molien._block_series(CensusProblem(2, 1), 2)
 
 
-# Each row's engine from the measured table in molien.py's docstring: the
-# faster one, or on 1x5/16, a near tie, the joint product; the last three rows
-# stay on the joint product, whose estimate lists no partition.
+# Each row's engine is the one the 0.24.0 timings picked: the faster one, or
+# on 1x5/16, a near tie, the joint product; the last three rows stay on the
+# joint product, whose estimate lists no partition.  CHANGES.md (0.27.0) holds
+# the same rows timed again, in-process, best of 3, cold memos.
 @pytest.mark.parametrize(
     "n1, n2, max_degree, engine",
     [
@@ -589,22 +585,6 @@ def test_partition_counts_follow_the_lists():
         lists = [len(partitions_of(m, rows)) for m in range(13)]
         assert molien._partition_counts(rows, 12) == lists
     assert molien._partition_counts(90, 90)[90] == 56634173  # p(90), never listed
-
-
-def test_two_qubit_closed_form_hilbert_series():
-    # The exact 2x2 Hilbert series, a third route shared with neither:
-    # (1 - t^2 - t^3 + 2t^4 + 2t^5 + 2t^6 - t^7 - t^8 + t^10)
-    #   / ((1-t)(1-t^2)^4(1-t^3)^3(1-t^4)^2)
-    top = 32
-    numerator = {0: 1, 2: -1, 3: -1, 4: 2, 5: 2, 6: 2, 7: -1, 8: -1, 10: 1}
-    inverse = expand(RationalForm((), (1, 2, 2, 2, 2, 3, 3, 3, 4, 4)), top)
-    expected = Series(
-        sum(c * inverse[n - d] for d, c in numerator.items() if d <= n)
-        for n in range(top + 1)
-    )
-    problem = CensusProblem(2, 2)
-    assert molien_series(problem, top, degree_limit=top) == expected
-    assert generating_series(problem, top, degree_limit=top) == expected
 
 
 def test_molien_coefficient_two_qubit_values():
