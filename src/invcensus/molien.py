@@ -53,24 +53,33 @@ holds p_rho for each block as a dict on packed exponent keys with one base,
 D + N of the larger block, and each appended part r multiplies it by p_r =
 sum_i x_i^r.  Exponents of p_rho are at most D and digits of kappa + delta
 below the base, so no digit carries; a digit at or past it is rejected.  A
-1-row block takes the same path, and I_N(rho) = z_rho once N >= |rho|
-(Diaconis and Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
+key packs only the first N - 1 exponents, and the last is implied by the
+degree: p_rho is homogeneous of degree |rho|, and each kappa + delta -
+w·delta of a shape of that size has row sum |rho| too, so two monomials of
+one degree that share a key share every exponent.  So multiplying by p_r
+copies p_rho for the x_N^r term and adds N - 1 shifted passes, and each
+shape's terms are a list of plus keys and a list of minus keys, whose sums
+over p_rho give chi_kappa(rho) with no Python step per term.  A 1-row block
+takes the same path with no digit left, so its p_rho stays {0: 1}, and
+I_N(rho) = z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each
+F_n is exact_quotient(class sum, n!).
 
 The rule compares two closed-form estimates before either engine runs:
 
     block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}}
-              (C(m+N-1, N-1)·N + p_N(m)·N!),
+              (C(m+N-1, N-1)·(N-1) + p_N(m)·N!),
     joint ~ (N1^2·N2^2 - N1·N2) · sum_{k<=D} prod_{blocks, j<N}
               min(2k + 1, 2j(N - j) + 1 + 2(D - k)),
 
-with N capped as above: the keys of p_rho times its shifts plus a bound on
-the Frobenius lookups per class, and the nonzero steps times the keys within
-reach per level.  p(m) and p_N(m) come from a recurrence, so the estimate
-stays cheap where p(m) is large (2x2 to 90 stays on the joint product).
-CHANGES.md (0.24.0) records the rule's picks against measured times.
+with N capped as above: the keys of p_rho times its N - 1 shifted passes
+plus a bound on the Frobenius lookups per class, and the nonzero steps
+times the keys within reach per level.  p(m) and p_N(m) come from a
+recurrence, so the estimate stays cheap where p(m) is large (2x2 to 90
+stays on the joint product).
+CHANGES.md (0.28.0) records the rule's picks against measured times.
 """
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb, factorial, prod
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
@@ -247,16 +256,19 @@ def _joint_series(problem: CensusProblem, max_degree: int) -> Series:
 
 
 def _frobenius_terms(size: int, degree: int, base: int) -> list:
-    """Per shape kappa of `degree` with at most `size` rows, the (key, sgn w) of
-    each kappa + delta - w·delta with no negative entry, w in S_size, so that
-    chi_kappa(rho) = sum sgn w · p_rho[key].
+    """Per shape kappa of `degree` with at most `size` rows, the keys of each
+    kappa + delta - w·delta with no negative entry, w in S_size, as a pair
+    (keys of sgn w = 1, keys of sgn w = -1), so that chi_kappa(rho) is the sum
+    of p_rho over the first list less the sum over the second.
 
     Each such w places delta's top l(kappa) values in the first l(kappa) rows,
     each at most its row's entry of kappa + delta.  sgn w is the parity of the
     pairs w puts in increasing order, so a placed value flips it once for each
-    larger value still unplaced.  A digit of kappa + delta at or past the base
-    would carry into the next, so it is rejected before anything is packed.
+    larger value still unplaced.  A key packs the first size - 1 rows; the
+    last is `degree` less their sum.  A digit of kappa + delta at or past the
+    base would carry into the next, so it is rejected before anything is packed.
     """
+    weights = [base**i for i in range(size - 1)] + [0]  # the last row is implied
     terms = []
     for shape in partitions_of(degree, size):
         top = [part + size - 1 - i for i, part in enumerate(shape)]
@@ -264,32 +276,41 @@ def _frobenius_terms(size: int, degree: int, base: int) -> list:
             raise ConsistencyError(f"shape {shape} has a digit past the base {base}")
         # (key, sign, values still unplaced, largest first) per placement so far
         placed = [(0, 1, tuple(range(size - 1, size - 1 - len(shape), -1)))]
-        for i, row in enumerate(top):
+        for row, weight in zip(top, weights):
             placed = [
-                (key + (row - v) * base**i, sign * (-1) ** j, free[:j] + free[j + 1 :])
+                (key + (row - v) * weight, sign * (-1) ** j, free[:j] + free[j + 1 :])
                 for key, sign, free in placed
                 for j, v in enumerate(free)  # j larger values are still unplaced
                 if v <= row
             ]
-        terms.append([(key, sign) for key, sign, _ in placed])
+        terms.append((
+            [key for key, sign, _ in placed if sign > 0],
+            [key for key, sign, _ in placed if sign < 0],
+        ))
     return terms
 
 
 def _times_power_sum(poly: dict, length: int, base: int, size: int) -> dict:
     """poly · p_length on packed keys, p_length = sum_i x_i^length over the
-    block's `size` variables."""
-    shifts = [length * base**i for i in range(size)]
-    out = {}
-    for e, c in poly.items():
-        for shift in shifts:
-            out[e + shift] = out.get(e + shift, 0) + c
+    block's `size` variables.  A key holds the first size - 1 exponents, so
+    the x_size^length term keeps every key."""
+    out = dict(poly)
+    get = out.get
+    for i in range(size - 1):
+        shift = length * base**i
+        for e, c in poly.items():
+            key = e + shift
+            out[key] = get(key, 0) + c
     return out
 
 
 def _block_integral(poly: dict, terms: list) -> int:
     """I_N(rho) = sum_kappa chi_kappa(rho)^2 from poly = p_rho and the
     Frobenius terms of rho's size."""
-    return sum(sum(sign * poly.get(key, 0) for key, sign in shape) ** 2 for shape in terms)
+    get, zeros = poly.get, repeat(0)  # map stops at the shorter list
+    return sum(
+        (sum(map(get, plus, zeros)) - sum(map(get, minus, zeros))) ** 2 for plus, minus in terms
+    )
 
 
 def _block_series(problem: CensusProblem, max_degree: int) -> Series:
@@ -331,14 +352,15 @@ def _partition_counts(largest: int, top: int) -> list:
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
     """Predicted work of _block_series: per class of S_m, each block's p_rho
-    (C(m+N-1, N-1) keys, N shifts each) and p_N(m)·N! Frobenius lookups, an
-    upper bound kept because the rule's picks were timed against it."""
+    (N - 1 shifted passes over C(m+N-1, N-1) keys) and p_N(m)·N! Frobenius
+    lookups, an upper bound on the placements that the rule's picks were
+    timed against."""
     classes = _partition_counts(max_degree, max_degree)
     cost = 0
     for size in {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}:
         shapes = _partition_counts(size, max_degree)
         cost += sum(
-            classes[m] * (comb(m + size - 1, size - 1) * size + shapes[m] * factorial(size))
+            classes[m] * (comb(m + size - 1, size - 1) * (size - 1) + shapes[m] * factorial(size))
             for m in range(max_degree + 1)
         )
     return cost

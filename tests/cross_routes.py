@@ -144,6 +144,7 @@ ROUTES = (
     Route(4, 4, 12, CI, rss_mb=40),
     Route(5, 5, 8, CI, rss_mb=40),
     Route(2, 5, 16, CI, rss_mb=40),
+    Route(1, 5, 16, CI, closed_form=one_by(5), rss_mb=40),
     Route(8, 8, 8, CI, rss_mb=40),
     Route(9, 9, 9, CI, rss_mb=40),
     Route(12, 12, 6, CI, rss_mb=40),

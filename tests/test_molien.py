@@ -10,7 +10,6 @@ import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series
 from invcensus.characters import character
 from invcensus.errors import ConsistencyError, ResourceLimitError
-from invcensus.factorizer import RationalForm, expand
 from invcensus.molien import molien_coefficient, molien_series
 from invcensus.partitions import partitions_of, z_order
 from invcensus.series import Series
@@ -460,8 +459,9 @@ def block_integral(size, rho):
 
 def all_permutation_terms(size, degree, base):
     """Frobenius terms by listing all size! permutations w of delta and keeping
-    each kappa + delta - w·delta with no negative entry; sgn w is the parity of
-    the pairs w puts in increasing order."""
+    each kappa + delta - w·delta with no negative entry, keyed on its first
+    size - 1 entries; sgn w is the parity of the pairs w puts in increasing
+    order."""
     delta = range(size - 1, -1, -1)
     signed = [
         (w, (-1) ** sum(a < b for i, a in enumerate(w) for b in w[i + 1 :]))
@@ -471,7 +471,7 @@ def all_permutation_terms(size, degree, base):
     for shape in partitions_of(degree, size):
         top = [part + d for part, d in zip(shape + (0,) * size, delta)]
         terms.append([
-            (molien._packed(v, base), sign)
+            (molien._packed(v[:-1], base), sign)
             for w, sign in signed
             if min(v := [t - d for t, d in zip(top, w)]) >= 0
         ])
@@ -483,9 +483,31 @@ def test_row_placements_are_the_admissible_permutations(size):
     # each shape's (key, sign) multiset, at the base the block engine uses
     for degree in range(11):
         base = degree + size
-        placed = molien._frobenius_terms(size, degree, base)
+        placed = [
+            Counter([(key, 1) for key in plus] + [(key, -1) for key in minus])
+            for plus, minus in molien._frobenius_terms(size, degree, base)
+        ]
         listed = all_permutation_terms(size, degree, base)
-        assert [Counter(t) for t in placed] == [Counter(t) for t in listed]
+        assert placed == [Counter(t) for t in listed]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_power_sum_product_drops_the_implied_last_exponent(size):
+    # p_rho built here on full exponent tuples, then keyed on the first
+    # size - 1 exponents at the base the block engine uses
+    for m in range(9):
+        base = m + size
+        for rho in partitions_of(m):
+            full = Counter({(0,) * size: 1})
+            for part in rho:
+                grown = Counter()
+                for e, c in full.items():
+                    for i in range(size):
+                        grown[e[:i] + (e[i] + part,) + e[i + 1 :]] += c
+                full = grown
+            dropped = {molien._packed(e[:-1], base): c for e, c in full.items()}
+            assert len(dropped) == len(full)
+            assert power_sum_product(size, rho, base) == dropped
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -523,7 +545,7 @@ def test_block_engine_rejects_a_digit_at_the_base(monkeypatch):
 def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
     # an extra monomial in each p_rho·p_2 of the 2-row block leaves p_rho
     # asymmetric, and what is read off it is no virtual character: F_4 of 2x1
-    # sums to 87, not a multiple of 4! = 24
+    # sums to 147, not a multiple of 4! = 24
     times = molien._times_power_sum
 
     def corrupted(poly, length, base, size):
@@ -533,7 +555,7 @@ def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
         return out
 
     monkeypatch.setattr(molien, "_times_power_sum", corrupted)
-    with pytest.raises(ConsistencyError, match="F_4 of 2x1 is 87/24, not an integer"):
+    with pytest.raises(ConsistencyError, match="F_4 of 2x1 is 147/24, not an integer"):
         molien._block_series(CensusProblem(2, 1), 4)
 
 
@@ -551,16 +573,16 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
         molien._block_series(CensusProblem(2, 1), 2)
 
 
-# Each row's engine is the one the 0.24.0 timings picked: the faster one, or
-# on 1x5/16, a near tie, the joint product; the last three rows stay on the
-# joint product, whose estimate lists no partition.  CHANGES.md (0.27.0) holds
-# the same rows timed again, in-process, best of 3, cold memos.
+# Each row's engine is the faster one in the 0.28.0 timings (CHANGES.md,
+# in-process, best of 3, cold memos); 1x5/16 and 2x3/20 moved to the block
+# engine there.  The last three rows stay on the joint product, whose
+# estimate lists no partition.
 @pytest.mark.parametrize(
     "n1, n2, max_degree, engine",
     [
-        (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "joint"),
+        (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "block"),
         (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "block"),
-        (2, 3, 16, "block"), (2, 3, 20, "joint"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
+        (2, 3, 16, "block"), (2, 3, 20, "block"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
         (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
         (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"),
     ],
@@ -628,14 +650,6 @@ def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
     assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
         problem, max_degree, degree_limit=max_degree
     )
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_molien_one_by_n_closed_form(n):
-    # U(1) acts trivially, so F is the Hilbert series of the U(N)-conjugation
-    # invariants: prod_{k<=N} 1/(1 - t^k)
-    expected = expand(RationalForm((), tuple(range(1, n + 1))), 12)
-    assert molien_series(CensusProblem(1, n), 12) == expected
 
 
 def test_molien_series_two_qubits():
