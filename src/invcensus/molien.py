@@ -64,19 +64,20 @@ takes the same path with no digit left, so its p_rho stays {0: 1}, and
 I_N(rho) = z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each
 F_n is exact_quotient(class sum, n!).
 
-The rule compares two closed-form estimates before either engine runs:
+A block wider than the degree goes to the block engine with no estimate:
+it runs there capped at the degree, and the joint product does not cap it.
+Otherwise the rule compares two closed-form estimates before either engine
+runs:
 
-    block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}}
-              (C(m+N-1, N-1)·(N-1) + p_N(m)·N!),
+    block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}} N·C(m+N-1, N-1),
     joint ~ (N1^2·N2^2 - N1·N2) · sum_{k<=D} prod_{blocks, j<N}
               min(2k + 1, 2j(N - j) + 1 + 2(D - k)),
 
-with N capped as above: the keys of p_rho times its N - 1 shifted passes
-plus a bound on the Frobenius lookups per class, and the nonzero steps
-times the keys within reach per level.  p(m) and p_N(m) come from a
-recurrence, so the estimate stays cheap where p(m) is large (2x2 to 90
-stays on the joint product).
-CHANGES.md (0.28.0) records the rule's picks against measured times.
+the passes that build p_rho, one copy and N - 1 shifts over its keys per
+class, and the nonzero steps times the keys within reach per level.  p(m)
+comes from a recurrence, so the estimate stays cheap where p(m) is large
+(2x2 to 90 stays on the joint product).
+CHANGES.md (0.29.0) records the rule's picks against measured times.
 """
 
 from itertools import accumulate, repeat
@@ -340,30 +341,27 @@ def _block_series(problem: CensusProblem, max_degree: int) -> Series:
     ])
 
 
-def _partition_counts(largest: int, top: int) -> list:
-    """Partitions of m = 0..top into parts of at most `largest`, that is, by
-    conjugation, into at most `largest` parts."""
+def _partition_counts(top: int) -> list:
+    """p(0) .. p(top) by the recurrence over the largest part, which lists no
+    partition."""
     counts = [1] + [0] * top
-    for part in range(1, largest + 1):
+    for part in range(1, top + 1):
         for m in range(part, top + 1):
             counts[m] += counts[m - part]
     return counts
 
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
-    """Predicted work of _block_series: per class of S_m, each block's p_rho
-    (N - 1 shifted passes over C(m+N-1, N-1) keys) and p_N(m)·N! Frobenius
-    lookups, an upper bound on the placements that the rule's picks were
-    timed against."""
-    classes = _partition_counts(max_degree, max_degree)
-    cost = 0
-    for size in {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}:
-        shapes = _partition_counts(size, max_degree)
-        cost += sum(
-            classes[m] * (comb(m + size - 1, size - 1) * (size - 1) + shapes[m] * factorial(size))
-            for m in range(max_degree + 1)
-        )
-    return cost
+    """Predicted work of _block_series: per class of S_m and block, the passes
+    _times_power_sum makes over p_rho's C(m+N-1, N-1) keys, one copy and
+    N - 1 shifts.  molien_series asks only when no block is wider than the
+    degree, so N needs no cap here."""
+    classes = _partition_counts(max_degree)
+    return sum(
+        classes[m] * size * comb(m + size - 1, size - 1)
+        for size in {problem.n1, problem.n2}
+        for m in range(max_degree + 1)
+    )
 
 
 def _joint_cost(problem: CensusProblem, max_degree: int) -> int:
@@ -396,6 +394,7 @@ def molien_series(
     """Molien series of the problem through max_degree, by whichever engine has
     the smaller predicted cost."""
     _require_degree("max_degree", max_degree, degree_limit)
-    if _block_cost(problem, max_degree) < _joint_cost(problem, max_degree):
+    wide = max(problem.n1, problem.n2) > max_degree  # only the block engine caps it
+    if wide or _block_cost(problem, max_degree) < _joint_cost(problem, max_degree):
         return _block_series(problem, max_degree)
     return _joint_series(problem, max_degree)

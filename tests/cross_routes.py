@@ -37,8 +37,10 @@ seconds.  It appends one run to the record file's "runs" list, creating the
 file if needed, so one file can hold a before and an after.  A run holds
 the version, the commit (git describe, "-dirty" for uncommitted changes),
 the Python version, the CPU count, the median time of a short calibration
-loop that uses none of the package, and per row the median, least and
-greatest wall seconds, the largest peak RSS and the failures.
+loop that uses none of the package, the median start-up time of k
+`python -m invcensus --version` children, which every row's time includes,
+and per row the median, least and greatest wall seconds, the largest peak
+RSS and the failures.
 """
 
 import argparse
@@ -286,6 +288,17 @@ def calibrate(repeats: int = 9) -> float:
     return statistics.median(times)
 
 
+def startup(repeats: int) -> float:
+    """Median wall seconds of a `--version` child: interpreter and package
+    start-up, with no count."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run(("--version",))
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
 def summarize(runs: list) -> dict:
     """One row of a record from its (seconds, peak RSS in MB, failures) runs."""
     seconds = [s for s, _, _ in runs]
@@ -314,6 +327,7 @@ def environment(repeat: int) -> dict:
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
         "calibration_s": calibrate(),
+        "startup_s": startup(repeat),
         "repeat": repeat,
     }
 

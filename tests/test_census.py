@@ -8,7 +8,6 @@ import invcensus
 from invcensus import census, characters, kronecker, partitions
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
-from invcensus.factorizer import RationalForm, expand
 from invcensus.kronecker import kronecker_coefficient, pair_weight
 from invcensus.partitions import partitions_of
 from invcensus.series import Series
@@ -143,13 +142,6 @@ def test_sigma_cap_is_vacuous():
             for sigma in partitions_of(n):
                 if len(sigma) > len(kappa) ** 2:
                     assert kronecker_coefficient(kappa, kappa, sigma) == 0, (kappa, sigma)
-
-
-@pytest.mark.parametrize("n2", [1, 2, 3, 4])
-def test_one_by_n_closed_form(n2):
-    # a 1 x N system has the ring generated by tr rho^k, k = 1..N
-    closed = expand(RationalForm((), tuple(range(1, n2 + 1))), 10)
-    assert generating_series(CensusProblem(1, n2), 10) == closed
 
 
 def test_stable_range_is_the_sum_of_centralizer_orders():

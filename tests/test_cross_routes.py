@@ -101,7 +101,8 @@ def test_record_run_from_canned_children(tmp_path, monkeypatch, capsys):
     def no_git(*args, **kwargs):
         raise OSError("no git")
 
-    monkeypatch.setattr(cross_routes, "run", lambda argv: (0, canned(), 20.0))
+    spawned = []
+    monkeypatch.setattr(cross_routes, "run", lambda argv: spawned.append(argv) or (0, canned(), 20.0))
     monkeypatch.setattr(cross_routes, "judge", canned_judge)
     monkeypatch.setattr(cross_routes, "calibrate", lambda: 0.01)
     monkeypatch.setattr(cross_routes.subprocess, "run", no_git)
@@ -111,8 +112,10 @@ def test_record_run_from_canned_children(tmp_path, monkeypatch, capsys):
         runs = json.loads(path.read_text())["runs"]
         assert len(runs) == round_
     assert len(calls) == 2 * 3 * len(JOBS)
+    assert spawned.count(("--version",)) == 2 * 3  # start-up, once per repeat
     record = runs[-1]
-    assert list(record) == ["version", "commit", "python", "cpus", "calibration_s", "repeat", "rows"]
+    keys = ["version", "commit", "python", "cpus", "calibration_s", "startup_s", "repeat", "rows"]
+    assert list(record) == keys
     assert record["version"] == invcensus.__version__
     assert (record["commit"], record["repeat"]) == ("unknown", 3)
     assert list(record["rows"]) == [job.name for job in JOBS]

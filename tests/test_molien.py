@@ -573,10 +573,10 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
         molien._block_series(CensusProblem(2, 1), 2)
 
 
-# Each row's engine is the faster one in the 0.28.0 timings (CHANGES.md,
-# in-process, best of 3, cold memos); 1x5/16 and 2x3/20 moved to the block
-# engine there.  The last three rows stay on the joint product, whose
-# estimate lists no partition.
+# Each row's engine is the faster one in the 0.29.0 timings (CHANGES.md,
+# in-process, best of 3, cold memos); 1x4/10, 1x5/17 and 2x4/30 moved to the
+# block engine there.  2x2/40, 2x2/90 and 1x4/24 stay on the joint product,
+# whose estimate lists no partition.
 @pytest.mark.parametrize(
     "n1, n2, max_degree, engine",
     [
@@ -584,7 +584,8 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
         (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "block"),
         (2, 3, 16, "block"), (2, 3, 20, "block"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
         (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
-        (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"),
+        (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"), (1, 4, 10, "block"),
+        (1, 5, 17, "block"), (2, 4, 30, "block"),
     ],
 )
 def test_rule_picks_the_measured_engine(n1, n2, max_degree, engine):
@@ -602,11 +603,23 @@ def test_molien_series_runs_the_engine_the_rule_picks(monkeypatch, n1, n2, max_d
     assert ran == [engine]
 
 
+def test_a_block_wider_than_the_degree_runs_the_block_engine(monkeypatch):
+    def no_estimate(problem, max_degree):
+        raise RuntimeError("the joint estimate ran")
+
+    monkeypatch.setattr(molien, "_joint_cost", no_estimate)
+    problem = CensusProblem(7, 2)
+    assert molien_series(problem, 5) == generating_series(problem, 5)
+
+
+def test_a_million_row_block_costs_its_degree():
+    # I_N = I_min(N, |rho|), so a 10^6 x 1 system is 3 x 1 through degree 3
+    assert molien_series(CensusProblem(10**6, 1), 3) == Series([1, 1, 2, 3])
+
+
 def test_partition_counts_follow_the_lists():
-    for rows in range(6):
-        lists = [len(partitions_of(m, rows)) for m in range(13)]
-        assert molien._partition_counts(rows, 12) == lists
-    assert molien._partition_counts(90, 90)[90] == 56634173  # p(90), never listed
+    assert molien._partition_counts(12) == [len(partitions_of(m)) for m in range(13)]
+    assert molien._partition_counts(90)[90] == 56634173  # p(90), never listed
 
 
 def test_molien_coefficient_two_qubit_values():
