@@ -16,7 +16,14 @@ from . import __version__
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
 from .characters import char_table, character
 from .errors import ConsistencyError, InvcensusError, parse_int
-from .factorizer import _anchored, _report, _survivors, compare, numerator_for_denominator
+from .factorizer import (
+    _anchored,
+    _report,
+    _survivors,
+    compare,
+    fit_denominator,
+    numerator_for_denominator,
+)
 from .kronecker import inner_product_expansion
 from .molien import molien_series
 from .partitions import format_partition, parse_partition
@@ -194,6 +201,17 @@ def _cmd_factor(args):
             raise ConsistencyError(
                 f"the search kept denominator {report.candidate.denominator_degrees}, whose "
                 f"numerator is {numerator[negative]} at degree {negative}"
+            )
+        # the walk's packed greedy run must agree with a one-shot fit of the same row
+        fit = fit_denominator(
+            target, report.candidate.denominator_degrees, max_factor_degree=args.max_factor_degree
+        )
+        walked = (report.match_degree, report.candidate.numerator_degrees, report.first_mismatch)
+        fitted = (fit.match_degree, fit.candidate.numerator_degrees, fit.first_mismatch)
+        if walked != fitted:
+            raise ConsistencyError(
+                f"the search gave denominator {report.candidate.denominator_degrees} match degree, "
+                f"numerator degrees and first mismatch {walked}; a one-shot fit gives {fitted}"
             )
     anchored = _anchored(target)
     result = {

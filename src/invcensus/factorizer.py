@@ -12,16 +12,18 @@ degree D every integer series with constant term 1 is uniquely
 Prod_{k<=D} (1-x^k)^(-e_k) with integer e_k.  A denominator factor (1-x^b)
 lowers e_b by 1, and (1+x^a) = (1-x^2a)/(1-x^a), so dividing by it lowers e_a
 by 1 and raises e_2a by 1.  The target's exponents are computed once, and one
-greedy pass over k = 1..D factors a candidate's numerator.
+greedy pass over k = 1..D factors a candidate's numerator.  Until it stops
+the pass is linear: it reaches degree j holding f_j = e_j + f_(j/2), and a
+factor (1-x^b) lowers f at b, 2b, 4b, ..., so nothing resumes a pass.
 
 The search walks denominators depth-first in nondecreasing order.  A prefix
-ending in b carries its greedy pass, whose steps below b are the same for
-every denominator below it, and its numerator T*Prod(1-x^b), packed into one
-integer with a biased digit per degree (Kronecker substitution): a factor, the
-scan for a negative coefficient and a leaf's test are a few big-integer
-operations each.  A factor (1-x^b) leaves every coefficient below b unchanged,
-so a prefix whose numerator is negative below the next factor degree heads a
-subtree in which nothing survives, and that subtree is skipped.
+carries its numerator T*Prod(1-x^b) and its pass's f, each packed into one
+integer with a biased digit per degree (Kronecker substitution): a factor,
+the scan for a negative coefficient, a leaf's test and where a survivor's
+pass stops are a few big-integer operations each.  A factor (1-x^b) leaves
+every coefficient below b unchanged, so a prefix whose numerator is negative
+below the next factor degree heads a subtree in which nothing survives, and
+that subtree is skipped.
 """
 
 import heapq
@@ -136,8 +138,8 @@ class FitReport:
         return self.first_mismatch is None
 
 
-def _extract(exponents: list[int], k: int, end: int, max_factor_degree: int) -> int:
-    """Run the greedy factoring in place over degrees k..end-1; return where it got to.
+def _extract(exponents: list[int], max_factor_degree: int) -> int:
+    """Run the greedy factoring in place over degrees 1..D; return where it stopped.
 
     The (1+x^j) factors come off Prod(1-x^j)^(-e_j) lowest degree first.  The
     lowest nonzero coefficient of a remainder sits at its lowest nonzero
@@ -147,22 +149,21 @@ def _extract(exponents: list[int], k: int, end: int, max_factor_degree: int) -> 
     from j to 2j.  Trailing junk from a truncated target is expected and does
     not halt extraction.
 
-    Returns the degree extraction stopped at, or, when it did not stop, the
-    first degree left to do: end, or D+1 once the truncation is passed.  The
-    e_j below the returned degree are the multiplicities of the factors taken
-    off, so a run can be resumed from there once every (1-x^b) with b below
-    the new end has lowered its e_b.
+    Returns the degree extraction stopped at, or D+1 when it did not stop.  The
+    e_j below that degree are the multiplicities of the factors taken off.
+    Until it stops the run is linear, e_j becoming e_j + e_(j/2) for even j;
+    the search walk uses that to carry every run packed in one integer, and
+    nothing resumes a run.
     """
     degree = len(exponents) - 1
-    end = min(end, degree + 1)
-    for j in range(k, end):
+    for j in range(1, degree + 1):
         e = exponents[j]
         if e:
             if e < 0 or j > max_factor_degree:
                 return j
             if 2 * j <= degree:
                 exponents[2 * j] += e
-    return end
+    return degree + 1
 
 
 def _key(target: Series, exponents: list[int], stop: int, denominator_degrees: tuple) -> tuple:
@@ -220,7 +221,7 @@ def fit_denominator(
     for b in denominator_degrees:  # (1-x^b) lowers e_b, if b is within the truncation
         if b <= degree:
             exponents[b] -= 1
-    stop = _extract(exponents, 1, degree + 1, max_factor_degree)
+    stop = _extract(exponents, max_factor_degree)
     return _report(_key(target, exponents, stop, denominator_degrees), nonnegative_through)
 
 
@@ -278,7 +279,6 @@ def _survivors(
     anchored = _anchored(target)
     # stands for "no negative coefficient": past every degree and every factor
     nonnegative = max(degree, max_factor_degree) + 1
-    target_exponents = _euler_exponents(target.coeffs)
     keys = []
     count = 0
     full = None if limit is None else 2 * limit
@@ -294,52 +294,67 @@ def _survivors(
     top = sum(1 << (i * width + width - 1) for i in range(degree + 1))
     signs = [top >> b * width << b * width for b in range(nonnegative + 1)]
     guard = 1 << (nonnegative * width + width - 1)  # a sign bit that reads as `nonnegative`
+    # Until it stops, the greedy run reaches degree j holding f_j = e_j, plus f_(j/2)
+    # for even j, and a factor (1-x^b) lowers f_b, f_2b, f_4b, ... by one.  f is one
+    # integer whose V-bit digit j is f_j + 2^(V-1), and a factor subtracts chains[b].
+    # With F the target's own f, F_j - largest <= f_j <= F_j, so |f_j| and the size
+    # Sum_{j<stop} f_j of a numerator stay at most span < 2^(V-1): no digit carries,
+    # and the size is the digit sum mod 2^V - 1.
+    run = _euler_exponents(target.coeffs)
+    for j in range(2, degree + 1, 2):
+        run[j] += run[j // 2]
+    span = largest + sum(map(abs, run))
+    v = span.bit_length() + 1
+    half, digit = 1 << v - 1, (1 << v) - 1
+    bias = sum(half << j * v for j in range(degree + 1))  # every f_j's sign bit
+    low = bias - bias // half  # the V-1 bits below each sign bit
+    past_cap = bias >> (max_factor_degree + 1) * v << (max_factor_degree + 1) * v
+    run_guard = half << (degree + 1) * v  # a sign bit that reads as D+1: no stop
+    chains = [sum(1 << (b << i) * v for i in range((degree // b).bit_length())) if b else 0
+              for b in range(max_factor_degree + 1)]
 
-    def offer(prefix, exponents, stop):
-        # count one survivor whose greedy run stopped at degree stop, and pool its key
+    def offer(prefix, f):
+        # count one survivor, whose run stops at the lowest f_j < 0 or f_j > 0 past
+        # the cap, and pool its key; (f & low) + low sets the sign bit of each digit
+        # whose low bits are not all clear
         nonlocal count, keys, head
         count += 1
-        if head is not None and (1 - stop, sum(exponents[1:stop]) + len(prefix)) >= head:
-            return  # at or below the worst kept key on match degree and size alone
+        stops = bias & ~f | f & ((f & low) + low) & past_cap | run_guard
+        stop = (stops & -stops).bit_length() // v - 1
+        if head is not None and 1 - stop >= head[0]:
+            # a tie on match degree goes by size, the digit sum below stop, read only here
+            if 1 - stop > head[0] or (
+                ((f & ((1 << stop * v) - 1)) - stop * half) % digit + len(prefix) >= head[1]
+            ):
+                return  # at or below the worst kept key on match degree and size alone
+        exponents = [(f >> j * v & digit) - half for j in range(min(stop, degree) + 1)]
         keys.append(_key(target, exponents, stop, prefix))
         if len(keys) == full:
             keys = heapq.nsmallest(limit, keys)
             head = keys[-1][:2]
 
-    def descend(prefix, p, first_negative, next_lowest, exponents, k):
-        # exponents holds a greedy run done below degree k, the prefix's last
-        # factor degree unless the run stopped earlier or passed the truncation
+    def descend(prefix, p, first_negative, next_lowest, f):
         if len(prefix) >= smallest and first_negative == nonnegative:
-            finished = exponents.copy()
-            offer(prefix, finished, _extract(finished, k, degree + 1, max_factor_degree))
+            offer(prefix, f)
         children = range(next_lowest, min(max_factor_degree, first_negative) + 1)
         if len(prefix) + 1 < largest:
             for b in children:
                 q = (p + signs[b] - (p << b * width)) & mask  # (1-x^b)*c
                 negative = signs[b] & ~q | guard  # b never passes c's first negative degree
-                child = exponents.copy()
-                if b <= degree:
-                    child[b] -= 1
-                stop = _extract(child, k, b, max_factor_degree)
                 first = (negative & -negative).bit_length() // width - 1
-                descend(prefix + (b,), q, first, b, child, stop)
+                descend(prefix + (b,), q, first, b, f - chains[b])
         elif len(prefix) < largest:
-            # a leaf survives iff its sign bits b..D are set; only survivors run to the end
+            # a leaf survives iff its sign bits b..D are set
             for b in children:
                 if (p + signs[b] - (p << b * width)) & signs[b] == signs[b]:
-                    child = exponents.copy()
-                    if b <= degree:
-                        child[b] -= 1
-                    offer(prefix + (b,), child, _extract(child, k, degree + 1, max_factor_degree))
+                    offer(prefix + (b,), f - chains[b])
 
     # an anchored walk puts the one degree-1 factor first and draws the rest from 2 up
     prefix = (1,) if anchored else ()
     if len(prefix) <= largest:
         root = numerator_for_denominator(target, prefix, degree)
         first_negative = next((n for n, c in enumerate(root) if c < 0), nonnegative)
-        if anchored:
-            target_exponents[1] -= 1
-        stop = _extract(target_exponents, 1, 1 + anchored, max_factor_degree)
         p = sum(c << i * width for i, c in enumerate(root)) + signs[0]
-        descend(prefix, p, first_negative, 1 + anchored, target_exponents, stop)
+        f = sum(e << j * v for j, e in enumerate(run)) + bias - (chains[1] if anchored else 0)
+        descend(prefix, p, first_negative, 1 + anchored, f)
     return count, sorted(keys)[:limit]

@@ -229,10 +229,45 @@ def _dimensions_multiply(lam: tuple, mu: tuple) -> Callable:
     return expect
 
 
+SERIES_2X2_D16 = ROOT / "bench" / "series-2x2-d16.json"
+# (denominator, numerator) degrees of the three rows shown at caps 12 and 14, each
+# matching the series through degree 9
+SHOWN_2X2_D16 = [
+    ([1, 2, 2, 2, 3, 3, 4, 4, 4, 6], [4, 5, 6, 6, 6, 7, 7, 8, 8, 9, 9]),
+    ([1, 2, 2, 2, 3, 3, 4, 4, 4, 9], [4, 5, 6, 6, 6, 6, 7, 7, 8, 8, 9]),
+    ([1, 2, 2, 2, 3, 3, 4, 4, 4, 11], [4, 5, 6, 6, 6, 6, 7, 7, 8, 8, 9, 9]),
+]
+
+
 def _factor(cap: int) -> tuple:
-    series = str(ROOT / "bench" / "series-2x2-d16.json")
-    return ("factor", "--series-file", series, "--free-generators", "10",
+    return ("factor", "--series-file", str(SERIES_2X2_D16), "--free-generators", "10",
             "--max-factor-degree", str(cap), "--limit", "3")
+
+
+def _factor_rows(count: int) -> Callable:
+    """The survivor count and SHOWN_2X2_D16; each shown form, expanded here,
+    must equal the series through its match degree."""
+    target = json.loads(SERIES_2X2_D16.read_text())["coefficients"]
+
+    def expect(result, earlier):
+        failures = _equals("candidate_count", count)(result, earlier)
+        rows = result["candidates"]
+        shown = [(row["denominator_degrees"], row["numerator_degrees"]) for row in rows]
+        if shown != SHOWN_2X2_D16 or any(row["match_degree"] != 9 for row in rows):
+            failures.append(f"shown rows are {shown}, expected {SHOWN_2X2_D16} to degree 9")
+        for row in rows:
+            numerator = {0: 1}
+            for a in row["numerator_degrees"]:  # times (1 + t^a)
+                for n, c in list(numerator.items()):
+                    numerator[n + a] = numerator.get(n + a, 0) + c
+            top = row["match_degree"]
+            if expand((numerator, row["denominator_degrees"]), top) != target[: top + 1]:
+                failures.append(
+                    f"row {row['denominator_degrees']} differs from the series through degree {top}"
+                )
+        return failures
+
+    return expect
 
 
 SHAPE_40 = (12, 10, 8, 6, 4)
@@ -241,8 +276,8 @@ LONG = (
         _prefix_of(_check_name(Route(3, 3, 12)), 12)),
     Job("kron 6,6,6 9,5,4", ("kron", "6,6,6", "9,5,4"), 30,
         _dimensions_multiply((6, 6, 6), (9, 5, 4))),
-    Job("factor 2x2-to-16 cap 12", _factor(12), 30, _equals("candidate_count", 75302)),
-    Job("factor 2x2-to-16 cap 14", _factor(14), 40, _equals("candidate_count", 257650)),
+    Job("factor 2x2-to-16 cap 12", _factor(12), 30, _factor_rows(75302)),
+    Job("factor 2x2-to-16 cap 14", _factor(14), 40, _factor_rows(257650)),
     Job("char (12,10,8,6,4) at 1^40", ("char", ",".join(map(str, SHAPE_40)), ",".join(["1"] * 40)),
         30, _equals("value", dimension(SHAPE_40))),
 )

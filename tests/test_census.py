@@ -8,7 +8,7 @@ import invcensus
 from invcensus import census, characters, kronecker, partitions
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.errors import ConsistencyError, ResourceLimitError
-from invcensus.kronecker import kronecker_coefficient, pair_weight
+from invcensus.kronecker import pair_weight
 from invcensus.partitions import partitions_of
 from invcensus.series import Series
 
@@ -133,15 +133,6 @@ def test_class_function_form_equals_paper_pair_sum(n1, n2):
     problem = CensusProblem(n1, n2)
     for n in range(10 if (n1, n2) == (2, 2) else 7):
         assert invariant_count(problem, n) == paper_pair_sum(problem, n), n
-
-
-def test_sigma_cap_is_vacuous():
-    # g(kappa, kappa, sigma) = 0 once l(sigma) > l(kappa)^2
-    for n in range(9):
-        for kappa in partitions_of(n):
-            for sigma in partitions_of(n):
-                if len(sigma) > len(kappa) ** 2:
-                    assert kronecker_coefficient(kappa, kappa, sigma) == 0, (kappa, sigma)
 
 
 def test_stable_range_is_the_sum_of_centralizer_orders():

@@ -356,6 +356,26 @@ def test_factor_fails_loudly_on_a_negative_shown_numerator(capsys, tmp_path, mon
     assert "kept denominator (1, 1), whose numerator is -1 at degree 1" in err
 
 
+def test_factor_fails_loudly_when_a_shown_row_disagrees_with_its_one_shot_fit(
+    capsys, tmp_path, monkeypatch
+):
+    # a walk that carried a wrong greedy run would show a row whose match degree
+    # a one-shot fit of the same denominator does not reproduce
+    path = tmp_path / "target.json"
+    write_series_file(path, Series(TWO_BY_TWO))
+    count, (key,) = factorizer._survivors(Series(TWO_BY_TWO), 2, None, None, 1)
+    wrong = (key[0] - 1,) + key[1:]  # one degree more than the walk found
+    monkeypatch.setattr(cli, "_survivors", lambda *args: (count, [wrong]))
+    status, out, err = run(
+        capsys, "factor", "--series-file", str(path), "--free-generators", "2", "--limit", "1"
+    )
+    assert status == 1
+    assert out == ""
+    match = -key[0]
+    assert f"{key[2]} match degree, numerator degrees and first mismatch ({match + 1}, " in err
+    assert f"a one-shot fit gives ({match}, " in err
+
+
 def test_factor_refuses_a_huge_euler_exponent(capsys, tmp_path):
     # e_1 = 2^70 within the factor cap: the rank key would list 2^70 factors (1+x)
     path = tmp_path / "target.json"

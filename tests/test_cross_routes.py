@@ -2,7 +2,17 @@ import json
 
 import cross_routes
 import pytest
-from cross_routes import CI, JOBS, ROUTES, TIER1, dimension, expand, judge, summarize
+from cross_routes import (
+    CI,
+    JOBS,
+    ROUTES,
+    SHOWN_2X2_D16,
+    TIER1,
+    dimension,
+    expand,
+    judge,
+    summarize,
+)
 
 import invcensus
 import invcensus.molien as molien
@@ -39,20 +49,33 @@ def canned(**result):
 
 
 FACTOR = "factor 2x2-to-16 cap 12"
+SHOWN = [
+    {"denominator_degrees": dens, "numerator_degrees": nums, "match_degree": 9}
+    for dens, nums in SHOWN_2X2_D16
+]
 
 
 @pytest.mark.parametrize(
     "status, stdout, peak_mb",
     [
-        (0, canned(candidate_count=75301), 20.0),  # a count off by one
-        (0, canned(candidate_count=75302), 30.5),  # a peak RSS above its bound
+        (0, canned(candidate_count=75301, candidates=SHOWN), 20.0),  # a count off by one
+        (0, canned(candidate_count=75302, candidates=SHOWN), 30.5),  # a peak RSS above its bound
         (1, "", 20.0),  # a nonzero exit
+        (0, canned(candidate_count=75302, candidates=SHOWN[:2]), 20.0),  # a shown row missing
     ],
-    ids=["count off by one", "peak RSS above its bound", "nonzero exit"],
+    ids=["count off by one", "peak RSS above its bound", "nonzero exit", "a shown row missing"],
 )
 def test_runner_fails_a_bad_row(status, stdout, peak_mb):
-    assert judge(job(FACTOR), 0, canned(candidate_count=75302), 20.0, {}) == []
+    assert judge(job(FACTOR), 0, canned(candidate_count=75302, candidates=SHOWN), 20.0, {}) == []
     assert judge(job(FACTOR), status, stdout, peak_mb, {})
+
+
+def test_factor_rows_re_expand_each_shown_form():
+    # one more factor (1 + t^9) in the last row fails the pinned rows, and the
+    # form, expanded, also exceeds the series by one at degree 9
+    rows = SHOWN[:2] + [{**SHOWN[2], "numerator_degrees": SHOWN_2X2_D16[2][1] + [9]}]
+    failures = judge(job(FACTOR), 0, canned(candidate_count=75302, candidates=rows), 20.0, {})
+    assert f"row {SHOWN_2X2_D16[2][0]} differs from the series through degree 9" in failures
 
 
 def test_runner_compares_rows_with_the_rows_before_them():

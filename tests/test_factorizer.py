@@ -581,3 +581,25 @@ def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
     assert _survivors(target, 10, 10, None, 100) == (count, keys[:100])
     # building a key for every tie would make this 427
     assert len(built) == 237
+
+
+def test_walk_keys_match_one_shot_fits_at_the_top_of_the_digit_width():
+    # Through degree 10 the target is (1 + big x^6)/((1-x)(1-x^2)): e_1 = e_2 = 1 and
+    # e_6 = big, so the run reaches f_1 = 1, f_2 = f_4 = f_8 = 2 and f_6 = big.  With 3
+    # free generators span = 3 + 7 + big = 2^15 - 1, the run's digits are 16 bits wide,
+    # and f_6 and every numerator's size, 32,756 to 32,760 factors, sit just below
+    # 2^15; limits 1 and 2 decide ties on those sizes
+    big = 2**15 - 11
+    base = [n // 2 + 1 for n in range(11)]
+    target = Series([base[n] + big * base[n - 6] if n >= 6 else base[n] for n in range(11)])
+    assert _euler_exponents(target.coeffs) == [0, 1, 1, 0, 0, 0, big, 0, 0, 0, 0]
+    count, keys = _survivors(target, 3, None, None)
+    assert count == len(keys) == 8
+    assert [k[:2] for k in keys[:4]] == [(-10, big + 2), (-10, big + 3)] + [(-10, big + 4)] * 2
+    for negative_match, _, dens, numerator_degrees, mismatch in keys:
+        report = fit_denominator(target, dens)
+        assert report.match_degree == -negative_match
+        assert report.candidate.numerator_degrees == numerator_degrees
+        assert report.first_mismatch == mismatch
+    for limit in range(1, 9):
+        assert _survivors(target, 3, None, None, limit) == (count, keys[:limit])

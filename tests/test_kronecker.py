@@ -78,18 +78,6 @@ def test_pair_weight_trivia():
     assert pair_weight((1, 1), (1, 1), 4) == 1
 
 
-def test_pair_weight_respects_part_bound():
-    # dropping the bound from 4 to 2 must discard sigma with 3 or 4 parts
-    full = pair_weight((5, 3), (5, 3), 8)
-    narrow = pair_weight((5, 3), (5, 3), 2)
-    expected_narrow = sum(
-        kronecker_coefficient((5, 3), (5, 3), sigma) ** 2
-        for sigma in partitions_of(8, 2)
-    )
-    assert narrow == expected_narrow
-    assert narrow < full
-
-
 def _shared_boxes(lam, mu):
     # |lam & mu'| = sum_i min(lam_i, mu'_i), written here apart from kronecker._overlap
     return sum(min(a, b) for a, b in zip(lam, conjugate(mu)))
