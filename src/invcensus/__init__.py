@@ -45,7 +45,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.30.0"
+__version__ = "0.31.0"
 
 
 # every memo in the package, each a functools cache
@@ -53,6 +53,7 @@ _MEMOS = (
     characters._table,
     characters._character,
     kronecker._kron,
+    kronecker._packed,
     partitions._partitions,
     partitions.class_sizes,
 )
@@ -60,7 +61,8 @@ _MEMOS = (
 
 def clear_caches() -> None:
     """Empty every memo: character tables and values, Kronecker coefficients,
-    partitions and class sizes.  The next computation starts cold."""
+    the packed tables of the Kronecker class sums, partitions and class
+    sizes.  The next computation starts cold."""
     for memo in _MEMOS:
         memo.cache_clear()
 

@@ -274,6 +274,8 @@ SHAPE_40 = (12, 10, 8, 6, 4)
 LONG = (
     Job("census 3x3-to-28", ("census", "--n1", "3", "--n2", "3", *_degrees(28)), 30,
         _prefix_of(_check_name(Route(3, 3, 12)), 12)),
+    Job("kron 4,4,4,4 5,4,4,3", ("kron", "4,4,4,4", "5,4,4,3"), 30,
+        _dimensions_multiply((4, 4, 4, 4), (5, 4, 4, 3))),
     Job("kron 6,6,6 9,5,4", ("kron", "6,6,6", "9,5,4"), 30,
         _dimensions_multiply((6, 6, 6), (9, 5, 4))),
     Job("factor 2x2-to-16 cap 12", _factor(12), 30, _factor_rows(75302)),

@@ -206,6 +206,7 @@ def test_clear_caches_empties_every_memo():
     characters.char_table(6)
     characters.character((2, 1), (3,))
     kronecker.kronecker_coefficient((2, 1), (2, 1), (2, 1))
+    kronecker.inner_product_expansion((2, 1), (2, 1))
     memos = {
         id(obj): obj
         for info in pkgutil.iter_modules(invcensus.__path__)
@@ -213,7 +214,7 @@ def test_clear_caches_empties_every_memo():
         for obj in vars(importlib.import_module(f"invcensus.{info.name}")).values()
         if hasattr(obj, "cache_info")
     }.values()
-    assert len(memos) == 5
+    assert len(memos) == 6
     assert set(memos) == set(invcensus._MEMOS)
     assert all(memo.cache_info().currsize > 0 for memo in memos)
     invcensus.clear_caches()

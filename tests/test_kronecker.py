@@ -1,5 +1,7 @@
+import random
 from itertools import permutations
 from math import factorial
+from operator import mul
 
 import pytest
 
@@ -13,7 +15,7 @@ from invcensus.kronecker import (
     kronecker_coefficient,
     pair_weight,
 )
-from invcensus.partitions import conjugate, dimension, partitions_of, z_order
+from invcensus.partitions import class_sizes, conjugate, dimension, partitions_of, z_order
 
 # Degree-8 golden expansions, term for term.
 SQUARE_62 = {
@@ -259,6 +261,61 @@ def test_expansion_matches_class_sum_up_to_n7():
                     if g:
                         expected[nu] = g
                 assert inner_product_expansion(lam, mu).terms == expected, (lam, mu)
+
+
+# ---------------------------------------------------------------------------
+# The packed class sums: every digit is the dot product it replaces, and a digit
+# holds the largest sum the table's own values allow.
+
+
+def _dot_products(rows, lam, mu, nus):
+    weights = kronecker._weights(rows, lam, mu)
+    return [sum(map(mul, weights, rows[nu])) for nu in nus]
+
+
+def test_packed_class_sums_equal_the_dot_products():
+    for n in range(10):
+        parts = partitions_of(n)
+        rows = _rows(parts)
+        for lam in parts:
+            for mu in parts:
+                expected = _dot_products(rows, lam, mu, parts)
+                assert kronecker._class_sums(n, [(lam, mu)], parts) == [expected], (lam, mu)
+
+
+def test_packed_class_sums_equal_the_dot_products_at_n16():
+    # the widest packed table; two pairs at once, and the nu of a part bound
+    n = kronecker.DEFAULT_MAX_TABLE_N
+    parts = partitions_of(n)
+    rows = _rows(parts)
+    rng = random.Random(16)
+    for _ in range(6):
+        pairs = [tuple(rng.sample(parts, 2)), (rng.choice(parts),) * 2]
+        for nus in (parts, partitions_of(n, 3)):
+            expected = [_dot_products(rows, lam, mu, nus) for lam, mu in pairs]
+            assert kronecker._class_sums(n, pairs, nus) == expected, pairs
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_class_sums_at_the_width_bound(monkeypatch, cold_caches, sign):
+    # rows holding each class's largest |chi| make every class sum the bound
+    # sum_rho |C_rho| max|chi(rho)|^3 (with the sign of the rows), the largest a
+    # digit of that table can hold
+    for n in range(1, kronecker.DEFAULT_MAX_TABLE_N + 1):
+        parts = partitions_of(n)
+        largest = [max(map(abs, chis)) for chis in zip(*_rows(parts).values())]
+        bound = sign * sum(size * m**3 for (_, size), m in zip(class_sizes(n), largest))
+        row = tuple(sign * m for m in largest)
+        monkeypatch.setattr(kronecker, "_rows", lambda irreps: dict.fromkeys(irreps, row))
+        invcensus.clear_caches()
+        assert kronecker._class_sums(n, [(parts[0], parts[-1])], parts) == [[bound] * len(parts)]
+        order = factorial(n)
+        if bound % order == 0 and bound > 0:
+            terms = inner_product_expansion(parts[0], parts[-1]).terms
+            assert terms == {nu: bound // order for nu in parts}, n
+        else:
+            with pytest.raises(ConsistencyError, match=f"is {bound}/{order}, not a"):
+                inner_product_expansion(parts[0], parts[-1])
 
 
 # ---------------------------------------------------------------------------

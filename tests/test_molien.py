@@ -633,19 +633,6 @@ def test_molien_coefficient_trivial_system(n):
     assert molien_coefficient(CensusProblem(1, 1), n) == 1
 
 
-@pytest.mark.parametrize(
-    "problem",
-    [CensusProblem(1, 1), CensusProblem(1, 2), CensusProblem(2, 1), CensusProblem(2, 2)],
-)
-def test_molien_agrees_with_census(problem):
-    assert molien_series(problem, 6) == generating_series(problem, 6)
-
-
-def test_molien_agrees_with_census_two_qubit_stretch():
-    problem = CensusProblem(2, 2)
-    assert molien_series(problem, 8) == generating_series(problem, 8)
-
-
 # the 1xN and 2x4 cells are the cross-route table's rows (tests/cross_routes.py)
 @pytest.mark.parametrize(
     "n1, n2, max_degree",
