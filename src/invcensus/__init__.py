@@ -6,7 +6,7 @@ torus constant terms; the factorizer searches for integrity-basis
 presentations of the resulting series.  All arithmetic is exact.
 """
 
-from . import characters, kronecker, partitions
+from . import characters, kronecker, laurent, partitions  # laurent: see its docstring
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series, invariant_count
 from .characters import CharTable, char_table, character
 from .errors import (
@@ -32,7 +32,6 @@ from .kronecker import (
     kronecker_coefficient,
     pair_weight,
 )
-from .laurent import LaurentPoly
 from .molien import molien_coefficient, molien_series
 from .partitions import (
     Partition,
@@ -45,7 +44,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.31.0"
+__version__ = "0.32.0"
 
 
 # every memo in the package, each a functools cache
@@ -74,7 +73,6 @@ __all__ = [
     "DEFAULT_DEGREE_LIMIT",
     "FitReport",
     "InvcensusError",
-    "LaurentPoly",
     "Partition",
     "PartitionParseError",
     "RationalForm",

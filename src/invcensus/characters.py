@@ -16,7 +16,7 @@ from functools import cache, lru_cache
 from .errors import ResourceLimitError, require_int
 from .partitions import Partition, as_partition, common_weight, partitions_of
 
-# Hard safety cap: tables grow like p(n)^2; past it needs an explicit override.
+# Hard safety cap: tables grow like p(n)^2, and none past it is memoized.
 DEFAULT_MAX_TABLE_N = 16
 
 
@@ -167,12 +167,11 @@ def _table(n: int) -> CharTable:
     return CharTable(n, partitions_of(n), _walk_rows(partitions_of(n)).values())
 
 
-def char_table(n: int, max_n: int = DEFAULT_MAX_TABLE_N) -> CharTable:
-    """Full character table of S_n, memoized in memory."""
+def char_table(n: int) -> CharTable:
+    """Full character table of S_n, memoized in memory, for n up to the cap."""
     require_int("n", n, 0)
-    require_int("max_n", max_n)
-    if n > max_n:
+    if n > DEFAULT_MAX_TABLE_N:
         raise ResourceLimitError(
-            f"character table too large: n={n} exceeds the limit {max_n}"
+            f"character table too large: n={n} exceeds the limit {DEFAULT_MAX_TABLE_N}"
         )
     return _table(n)

@@ -9,6 +9,7 @@ printed.
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -310,9 +311,15 @@ def main(argv=None) -> int:
             "versions": {"tool": __version__},
             "timing_ms": elapsed_ms,
         }
-        print(json.dumps(envelope, indent=2))
-    else:
+        text = json.dumps(envelope, indent=2)
+    try:
         print(text)
+        sys.stdout.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        with open(os.devnull, "wb") as devnull:  # stdout's flush at exit then writes nothing
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        print(f"error: cannot write the result: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -165,15 +165,13 @@ def test_table_memoized_in_memory():
 
 
 def test_resource_limit():
-    with pytest.raises(ResourceLimitError, match="too large"):
+    with pytest.raises(ResourceLimitError, match="too large: n=17 exceeds the limit 16$"):
         char_table(17)
-    with pytest.raises(ResourceLimitError, match="too large"):
-        char_table(5, max_n=4)
+    with pytest.raises(TypeError):
+        char_table(5, max_n=4)  # the cap is DEFAULT_MAX_TABLE_N alone
 
 
-@pytest.mark.parametrize(
-    "args", [(True,), (3.0,), ("3",), (None,), (5, 4.5), (5, True), (5, None)]
-)
+@pytest.mark.parametrize("args", [(True,), (3.0,), ("3",), (None,)])
 def test_table_rejects_non_integer_input(args):
     with pytest.raises(ValueError, match="must be an? (nonnegative )?integer"):
         char_table(*args)

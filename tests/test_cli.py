@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from invcensus.cli import main
 from invcensus.factorizer import search_candidates
 from invcensus.series import Series, write_series_file
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 TWO_BY_TWO = [1, 1, 4, 6, 16, 23, 52, 77, 150, 224, 396, 583]
 
 
@@ -478,3 +483,30 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "invcensus" in capsys.readouterr().out
+
+
+def spawn(argv, stdout):
+    """A whole `python -m invcensus` process on this tree, stderr piped."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    command = [sys.executable, "-m", "invcensus", *argv]
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+def test_closed_pipe_is_one_error_line():
+    # the table is far larger than a pipe's buffer, so the reader leaves mid-write
+    with spawn(["table", "16"], subprocess.PIPE) as child:
+        assert len(child.stdout.read(20)) == 20
+        child.stdout.close()
+        err = child.stderr.read().decode()
+    assert child.returncode == 1
+    assert err.splitlines() == ["error: cannot write the result: [Errno 32] Broken pipe"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_device_is_one_error_line():
+    with open("/dev/full", "wb") as full:
+        child = spawn(["table", "5"], full)
+        err = child.communicate()[1].decode()
+    assert child.returncode == 1
+    assert err.splitlines() == ["error: cannot write the result: [Errno 28] No space left on device"]

@@ -529,6 +529,14 @@ def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
         assert _survivors(*args, limit) == (count, keys[:limit])
 
 
+# A factor (1 - x^b) with b past the truncation changes no coefficient, yet each
+# multiset of such degrees is its own survivor: the count grows with the cap
+# alone (1,333,299 at cap 200).  This pins the behaviour as it is.
+@pytest.mark.parametrize("cap, count", [(11, 219), (50, 20824)])
+def test_caps_past_the_truncation_count_each_multiset(cap, count):
+    assert _survivors(TARGET_F, 4, cap, None, 3)[0] == count
+
+
 SERIES_2X2_D16 = Path(__file__).resolve().parents[1] / "bench" / "series-2x2-d16.json"
 
 

@@ -6,7 +6,7 @@ from operator import mul
 import pytest
 
 import invcensus
-from invcensus import kronecker
+from invcensus import characters, kronecker
 from invcensus.characters import _rows, character
 from invcensus.errors import ConsistencyError, ResourceLimitError, WeightMismatchError
 from invcensus.kronecker import (
@@ -396,8 +396,18 @@ def _minus_a_box(shape):
 PAST_THE_CAP = {18: ((7, 6, 5), (7, 6, 4, 1)), 20: ((8, 7, 5), (8, 6, 5, 1))}
 
 
+def assert_no_table_past_the_cap():
+    # a memo filled at every n up to the cap holds cap + 1 keys iff none past it
+    cap = kronecker.DEFAULT_MAX_TABLE_N
+    for memo in (characters._table, kronecker._packed):
+        for n in range(cap + 1):
+            memo(n)
+        assert memo.cache_info().currsize == cap + 1, memo
+
+
 @pytest.mark.parametrize("n", sorted(PAST_THE_CAP))
 def test_coefficients_past_the_table_cap(n):
+    invcensus.clear_caches()
     a, b = PAST_THE_CAP[n]
     for lam, mu in [(a, a), (a, b), (b, conjugate(b))]:
         common = len(_minus_a_box(lam) & _minus_a_box(mu))
@@ -406,6 +416,7 @@ def test_coefficients_past_the_table_cap(n):
         assert kronecker_coefficient(lam, mu, (n,)) == (lam == mu), (lam, mu)
         sign = kronecker_coefficient(lam, mu, (1,) * n)
         assert sign == (mu == conjugate(lam)), (lam, mu)
+    assert_no_table_past_the_cap()
 
 
 @pytest.mark.parametrize("n", sorted(PAST_THE_CAP))
@@ -413,6 +424,7 @@ def test_expansion_and_pair_weight_past_the_table_cap(n):
     # the expansion holds the oracle's (n) and (n-1,1) terms and sums to the
     # hook-length dimensions; the unbounded pair weight is the sum of squares of
     # that expansion, and with one part it is g(lam,lam,(n)) g(mu,mu,(n)) = 1
+    invcensus.clear_caches()
     lam, mu = PAST_THE_CAP[n]
     terms = inner_product_expansion(lam, mu).terms
     common = len(_minus_a_box(lam) & _minus_a_box(mu))
@@ -422,6 +434,7 @@ def test_expansion_and_pair_weight_past_the_table_cap(n):
     assert dimensions == dimension(lam) * dimension(mu)
     assert pair_weight(lam, mu, n) == sum(g * g for g in terms.values())
     assert pair_weight(lam, mu, 1) == 1
+    assert_no_table_past_the_cap()
 
 
 def test_expansion_refuses_a_weight_past_its_bound(monkeypatch):
