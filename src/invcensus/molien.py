@@ -11,27 +11,23 @@ partitions_of and errors.exact_quotient.  Two engines compute the same
 series, and molien_series runs the one with the smaller predicted cost.
 
 The joint product works in root coordinates: each U(N) block has N - 1
-variables z_i = x_i/x_{i+1}, and the z-exponent of x^e is the running sum of
-the block's exponents, so every root x_i/x_j has z-exponents in {-1, 0, 1}.
-Each z-exponent vector c is packed into one integer sum_i (c_i + off)·B^i with
-B = 2·off + 1, so multiplying by a monomial is one integer addition.  Each
-block's N^2 roots are packed once; a weight (a_i/a_j)(b_k/b_l) is an a-root
-and a b-root end to end, so its step is a + b·B^(N1-1), and it is zero only
-when both roots are: N1·N2 of the N1^2·N2^2 weights.  One pass over
-prod_w 1/(1 - t z^w) on the nonzero weights gives levels h'_n with no
-division, and each level is Haar-averaged to g_n.  The zero weights add the
-scalar factor 1/(1 - t)^(N1·N2), and multiplying by 1/(1 - t) is a running
-sum, so F is g after N1·N2 prefix sums.
-
-The Weyl factor Delta(a)·Delta(b) is kept as its two block factors: a joint
-key is ka + kb·B^(N1-1), so the Haar average is a sum over pairs of block keys
-and needs no joint product (on 5x5 it has 8.8 M keys).  The product keeps only
-keys that can still reach the factor's per-digit range [lo_i, hi_i].  Each
-step moves each digit by at most 1 and raises the level by 1, so a level-k key
-whose digit i lies farther than D - k from [lo_i, hi_i] has no descendant
-there up to level D; it is dropped when it would first enter its level.  This
-is exact: every path to a kept key passes only through keys within reach, and
-no dropped key is in the factor's support.
+variables z_i = x_i/x_{i+1}, and every root x_i/x_j has z-exponents in
+{-1, 0, 1}.  An exponent vector c is the key sum_i (c_i + off)·B^i with
+B = 2·off + 1, and a weight (a_i/a_j)(b_k/b_l), an a-root and a b-root end
+to end, is the step a + b·B^(N1-1), zero for N1·N2 of the N1^2·N2^2
+weights.  One pass over prod_w 1/(1 - t z^w) on the nonzero weights gives
+levels h'_n with no division, each Haar-averaged to g_n against the block
+factors Delta(a)·Delta(b) at key pairs ka + kb·B^(N1-1); the zero weights
+add 1/(1 - t)^(N1·N2), so F is g after N1·N2 prefix sums.  Level k is one
+integer sum_key c_key·2^(key·W) (Kronecker substitution), so a step is one
+shift by step·W and one add per level, and W, the bit length of the most
+monomials C(D+s-1, s-1) of the s nonzero steps in whole bytes, holds any
+coefficient.  Digit j of a U(N) block's Weyl factor spans +-j(N - j), and a
+step moves each digit by at most 1, so a level-k key farther than D - k from
+that span cannot reach it: one AND with a mask of the level's box drops it,
+exactly.  Kept digits lie within min(D, (h + D)//2), h = floor(N^2/4), and
+off is one more, so a kept digit +-1 stays inside [0, B) and nothing carries;
+the Weyl factor is built at a base past its own digits and repacked.
 
 The block engine integrates one block at a time.  The adjoint power sums
 factor, p_k(adj_1 (x) adj_2) = |p_k(x)|^2·|p_k(y)|^2, so Newton's identity
@@ -45,48 +41,48 @@ block's N variables: chi_kappa(rho) = sum_{w in S_N} sgn(w)·[x^(kappa +
 delta - w·delta)] p_rho(x), delta = (N-1, .., 0) (Macdonald, Symmetric
 Functions and Hall Polynomials, ch. I).  A shape of size m has at most m
 rows, so I_N(rho) = I_min(N, |rho|)(rho) and each block runs at
-min(N, max(D, 1)) rows.  A term with a negative exponent is zero, and the rows
-of kappa + delta past l(kappa) read (.., 1, 0), so w fixes them: the terms
-come from placing delta's top l(kappa) values row by row, at most l(kappa)!
-per shape.  One depth-first walk over the cycle types rho, as in the census,
-holds p_rho for each block as a dict on packed exponent keys with one base,
-D + N of the larger block, and each appended part r multiplies it by p_r =
-sum_i x_i^r.  Exponents of p_rho are at most D and digits of kappa + delta
-below the base, so no digit carries; a digit at or past it is rejected.  A
-key packs only the first N - 1 exponents, and the last is implied by the
-degree: p_rho is homogeneous of degree |rho|, and each kappa + delta -
-w·delta of a shape of that size has row sum |rho| too, so two monomials of
-one degree that share a key share every exponent.  So multiplying by p_r
-copies p_rho for the x_N^r term and adds N - 1 shifted passes, and each
-shape's terms are a list of plus keys and a list of minus keys, whose sums
-over p_rho give chi_kappa(rho) with no Python step per term.  A 1-row block
-takes the same path with no digit left, so its p_rho stays {0: 1}, and
-I_N(rho) = z_rho once N >= |rho| (Diaconis and Shahshahani, 1994).  Each
-F_n is exact_quotient(class sum, n!).
+min(N, max(D, 1)) rows, with at most l(kappa)! terms per shape (see
+_frobenius_terms).  One depth-first walk over the cycle types rho, as in
+the census, holds p_rho for each block as a dict on packed exponent keys
+with one base, D + N of the larger block, and each appended part r
+multiplies it by p_r = sum_i x_i^r.  Exponents of p_rho are at most D and
+digits of kappa + delta below the base, so no digit carries; a digit at or
+past it is rejected.  A key packs only the first N - 1 exponents, and the
+last is implied by the degree: p_rho is homogeneous of degree |rho|, and
+each kappa + delta - w·delta of a shape of that size has row sum |rho| too,
+so two monomials of one degree that share a key share every exponent.  So
+multiplying by p_r copies p_rho for the x_N^r term and adds N - 1 shifted
+passes, and each shape's terms are a list of plus keys and a list of minus
+keys, whose sums over p_rho give chi_kappa(rho) with no Python step per
+term.  A 1-row block takes the same path with no digit left, so its p_rho
+stays {0: 1}, and I_N(rho) = z_rho once N >= |rho| (Diaconis and
+Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
 
-A block wider than the degree goes to the block engine with no estimate:
-it runs there capped at the degree, and the joint product does not cap it.
-Otherwise the rule compares two closed-form estimates before either engine
-runs:
+A block wider than the degree goes to the block engine, capped at the
+degree, with no estimate.  Otherwise the rule compares two estimates in
+block-engine key passes, and runs the cheaper engine whose memory estimate
+fits MAX_ENGINE_BYTES:
 
-    block ~ sum_{m<=D} p(m) · sum_{N in {N1, N2}} N·C(m+N-1, N-1),
-    joint ~ (N1^2·N2^2 - N1·N2) · sum_{k<=D} prod_{blocks, j<N}
-              min(2k + 1, 2j(N - j) + 1 + 2(D - k)),
+    block ~ sum_{m<=D} p(m)·(CLASS_KEYS + sum_{N in {N1, N2}} N·C(m+N-1, N-1)),
+    joint ~ s·sum_{k=1..D} ((2·L_k + M_k)/WORDS_PER_KEY + PASS_KEYS)
+            + READ_KEYS·(D + 1)·prod_{blocks, j<N} (2·min(D, j(N - j)) + 1),
 
-the passes that build p_rho, one copy and N - 1 shifts over its keys per
-class, and the nonzero steps times the keys within reach per level.  p(m)
-comes from a recurrence, so the estimate stays cheap where p(m) is large
-(2x2 to 90 stays on the joint product).
-CHANGES.md (0.29.0) records the rule's picks against measured times.
+L_k and M_k the words of level k and of its mask; the last term counts the
+Haar average's reads, one per key of the top level's box.  p(m) comes from a
+recurrence, so the estimate stays cheap where p(m) is large.
 """
 
 from itertools import accumulate, repeat
 from math import comb, factorial, prod
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
-from .errors import ConsistencyError, exact_quotient
+from .errors import ConsistencyError, ResourceLimitError, exact_quotient
 from .partitions import partitions_of
 from .series import Series
+
+# The rule's costs, in block-engine key passes, fitted to both engines' timings (0.33.0)
+WORDS_PER_KEY, PASS_KEYS, READ_KEYS, CLASS_KEYS = 20, 10, 7, 400
+MAX_ENGINE_BYTES = 1 << 28  # neither engine runs past this memory estimate
 
 
 def _block_roots(size: int) -> list:
@@ -100,9 +96,10 @@ def _block_roots(size: int) -> list:
 
 
 def _offset(problem: CensusProblem, max_degree: int) -> int:
-    """Digit offset covering |c_i| <= max_degree in h_n and floor(N^2/4),
-    the largest root coordinate of the Weyl factor."""
-    return max(max_degree, max(problem.n1, problem.n2) ** 2 // 4)
+    """Digit offset one past every kept digit, 1 + min(D, (h + D) // 2) for
+    h = floor(N^2/4), so a kept digit +-1 stays inside the base."""
+    h = max(problem.n1, problem.n2) ** 2 // 4
+    return 1 + min(max_degree, (h + max_degree) // 2)
 
 
 def _packed(coords, base: int) -> int:
@@ -126,98 +123,89 @@ def _block_steps(size: int, base: int) -> list:
     return steps
 
 
-def _digit_ranges(keys, base: int, ndigits: int) -> list:
-    """Per digit i, the (min, max) of key // base^i % base over the keys."""
-    ranges = []
-    for i in range(ndigits):
-        digits = {key // base**i % base for key in keys}
-        ranges.append((min(digits), max(digits)))
-    return ranges
+def _windows(problem: CensusProblem, max_degree: int) -> list:
+    """Per level k and digit, the half-width of the keys that can still reach
+    the Weyl factor by level max_degree: digit j of a U(N) block's spans +-j(N - j)."""
+    reach = [j * (size - j) for size in (problem.n1, problem.n2) for j in range(1, size)]
+    return [[min(k, h + max_degree - k) for h in reach] for k in range(max_degree + 1)]
 
 
-def _reach_tests(reach: list, off: int, base: int, max_degree: int) -> list:
-    """Per level k, the digit tests a key must pass to still reach `reach`.
-
-    A level-k digit lies in off ± k and moves by at most 1 a level, so it can
-    reach [lo, hi] by level max_degree only from [lo - s, hi + s], s =
-    max_degree - k.  A test (base^(i+1), base^i, low, high) is kept only for
-    a digit whose window cuts inside off ± k.
-    """
-    tests = []
-    for k in range(max_degree + 1):
-        slack, level = max_degree - k, []
-        for i, (lo, hi) in enumerate(reach):
-            low, high = max(lo - slack, off - k), min(hi + slack, off + k)
-            if (low, high) != (off - k, off + k):
-                level.append((base ** (i + 1), base**i, low, high))
-        tests.append(tuple(level))
-    return tests
+def _digit_width(nsteps: int, max_degree: int) -> int:
+    """W: the bit length of C(D + s - 1, s - 1), the most monomials of s =
+    nsteps steps a level holds, in whole bytes."""
+    most = comb(max_degree + nsteps - 1, max_degree) if nsteps else 1
+    return 8 * -(-most.bit_length() // 8)
 
 
-def _product_levels(origin: int, steps: list, max_degree: int, tests: list) -> list:
-    """h'_0 .. h'_max_degree, multiplying in 1/(1 - t z^w) for each packed step,
-    without the keys that fail their level's digit tests."""
-    levels = [{origin: 1}] + [{} for _ in range(max_degree)]
+def _mask(window: list, off: int, width: int) -> int:
+    """A level's box of keys, digit i within off +- window[i], as W-bit digits
+    of all ones: per digit, the box below it copied across the window."""
+    box = b"\xff" * (width // 8)
+    for half in window:
+        pad = bytes(len(box) * (off - half))
+        box = pad + box * (2 * half + 1) + pad
+    return int.from_bytes(box, "little")
+
+
+def _product_levels(origin: int, steps: list, masks: list, width: int) -> list:
+    """h'_0 .. h'_max_degree, level k packed as sum_key c_key·2^(key·W),
+    multiplying in 1/(1 - t z^w) for each packed step: one shift and one add
+    per level, and an AND with the level's mask where it has one."""
+    levels = [1 << origin * width] + [0] * (len(masks) - 1)
     for step in steps:
-        for k in range(1, max_degree + 1):
-            level, cuts = levels[k], tests[k]
-            for e, c in levels[k - 1].items():
-                key = e + step
-                if key in level:
-                    level[key] += c
-                    continue
-                # a key is tested only when it would enter the level
-                for m, p, low, high in cuts:
-                    if not low <= key % m // p <= high:
-                        break
-                else:
-                    level[key] = c
+        shift = step * width
+        for k in range(1, len(levels)):
+            below = levels[k - 1]
+            level = levels[k] + (below << shift if shift > 0 else below >> -shift)
+            levels[k] = level & masks[k] if masks[k] else level
     return levels
 
 
-def _check_levels(levels: list, off: int, base: int, ndigits: int) -> None:
-    """Reject a finished level with a key outside the box or a root
-    coordinate past its degree; either means corrupt arithmetic."""
-    # One digit per pass costs far less than unpacking each key.
-    for n, level in enumerate(levels):
-        if not level:
-            continue
-        if min(level) < 0 or max(level) >= base**ndigits:
-            raise ConsistencyError(f"h_{n} has a key past the bound {base}^{ndigits}")
-        for low, high in _digit_ranges(level, base, ndigits):
-            if low < off - n or high > off + n:
-                raise ConsistencyError(f"h_{n} has an exponent past the bound {n}")
+def _check_levels(levels: list, masks: list, nsteps: int, keys: int, width: int) -> None:
+    """Reject a level with a key past the box of `keys` keys or outside its
+    mask, or an unmasked level whose digit sum, L mod (2^W - 1), is not its
+    C(k + s - 1, s - 1) monomials, which W keeps below 2^W - 1.  L is folded in
+    halves first (2^(jW) = 1 there): dividing by a wide divisor is slow."""
+    for k, (level, mask) in enumerate(zip(levels, masks)):
+        if level.bit_length() > keys * width or mask and level & mask != level:
+            raise ConsistencyError(f"h'_{k} has a key outside its box, in {keys} keys")
+        count, total = comb(k + nsteps - 1, k) if k else 1, level
+        while mask is None and total.bit_length() > width:
+            half = (total.bit_length() // width + 1) // 2 * width
+            total = (total >> half) + (total & (1 << half) - 1)
+        if mask is None and total % ((1 << width) - 1) != count:
+            total %= (1 << width) - 1
+            raise ConsistencyError(f"h'_{k} has digit sum {total}, not its {count} monomials")
 
 
-def _weyl_factor(origin: int, steps: list) -> dict:
+def _weyl_factor(size: int, off: int, base: int) -> dict:
     """Delta = prod over ordered pairs i != j < size of (1 - x_i/x_j) for one
-    U(size) block, on packed keys of its size - 1 digits, from the block's
-    steps and its origin key.
-
-    Every partial product has root coordinates within floor(size^2/4) <= off,
-    so no digit carries.
-    """
-    product = {origin: 1}
-    for step in filter(None, steps):
+    U(size) block, on keys at `base` and digit offset off, less the keys with
+    a digit past off - 1, which no kept key meets.  It is built at the base
+    2h + 1, h = floor(size^2/4), past which no partial product's digit goes."""
+    h = size * size // 4
+    wide = 2 * h + 1
+    product = {_packed([h] * (size - 1), wide): 1}
+    for step in filter(None, _block_steps(size, wide)):
         out = dict(product)
         for e, c in product.items():
             out[e + step] = out.get(e + step, 0) - c
         product = out
-    return {e: c for e, c in product.items() if c}
+    digits = {e: [e // wide**i % wide - h for i in range(size - 1)] for e in product}
+    return {
+        _packed([off + x for x in digits[e]], base): c
+        for e, c in product.items()
+        if c and all(abs(x) < off for x in digits[e])
+    }
 
 
-def _haar_average(terms: dict, weyl: tuple, split: int, problem: CensusProblem) -> int:
-    """(1/N1!N2!) · constant term of terms · Delta(a)·Delta(b), as an exact integer.
-
-    weyl is the block pair (Delta(a), Delta(b)) and a joint key is ka + kb·split.
-    The roots come in pairs ±r, so the Weyl factor is invariant under inverting
-    the variables: the constant term is sum_e terms[e]·weyl[e], over key pairs.
-    """
-    delta_a, delta_b = weyl
-    numerator = 0
-    for kb, cb in delta_b.items():
-        shift = kb * split
-        numerator += cb * sum(ca * terms.get(ka + shift, 0) for ka, ca in delta_a.items())
+def _haar_average(level: int, weyl: list, width: int, problem: CensusProblem) -> int:
+    """(1/N1!N2!) · constant term of level · Delta(a)·Delta(b), exactly.  weyl
+    lists (joint key, coefficient) pairs.  The roots come in pairs ±r, so Delta
+    is invariant under inverting the variables: the constant term is
+    sum_e level[e]·weyl[e], each level[e] read from its W/8 bytes."""
+    data, size = level.to_bytes(-(-level.bit_length() // 8), "little"), width // 8
+    numerator = sum(c * int.from_bytes(data[e * size : e * size + size], "little") for e, c in weyl)
     order = factorial(problem.n1) * factorial(problem.n2)
     return exact_quotient(numerator, order, "Haar average for {}x{}", problem.n1, problem.n2)
 
@@ -226,9 +214,7 @@ def _nonnegative(coeffs: list) -> Series:
     """The series of coeffs, or ConsistencyError at a negative F_n."""
     for n, value in enumerate(coeffs):
         if value < 0:
-            raise ConsistencyError(
-                f"Molien coefficient at degree {n} came out negative ({value})"
-            )
+            raise ConsistencyError(f"Molien coefficient at degree {n} came out negative ({value})")
     return Series(coeffs)
 
 
@@ -240,16 +226,16 @@ def _joint_series(problem: CensusProblem, max_degree: int) -> Series:
     split = base ** (n1 - 1)
     steps_a, steps_b = _block_steps(n1, base), _block_steps(n2, base)
     origin_a, origin_b = _packed([off] * (n1 - 1), base), _packed([off] * (n2 - 1), base)
-    weyl = _weyl_factor(origin_a, steps_a), _weyl_factor(origin_b, steps_b)
-    reach = _digit_ranges(weyl[0], base, n1 - 1) + _digit_ranges(weyl[1], base, n2 - 1)
+    delta_a, delta_b = _weyl_factor(n1, off, base), _weyl_factor(n2, off, base)
+    weyl = [(a + b * split, ca * cb) for a, ca in delta_a.items() for b, cb in delta_b.items()]
     joint = [a + b * split for a in steps_a for b in steps_b]
-    # In sorted order repeats sit side by side, and the product ran about a
-    # quarter faster on 2x3 and 3x3 than in the weights' own order.
     steps = sorted(filter(None, joint))
-    tests = _reach_tests(reach, off, base, max_degree)
-    levels = _product_levels(origin_a + origin_b * split, steps, max_degree, tests)
-    _check_levels(levels, off, base, n1 + n2 - 2)
-    coeffs = [_haar_average(level, weyl, split, problem) for level in levels]
+    width = _digit_width(len(steps), max_degree)
+    windows = enumerate(_windows(problem, max_degree))
+    masks = [_mask(w, off, width) if min(w, default=k) < k else None for k, w in windows]
+    levels = _product_levels(origin_a + origin_b * split, steps, masks, width)
+    _check_levels(levels, masks, len(steps), base ** (n1 + n2 - 2), width)
+    coeffs = [_haar_average(level, weyl, width, problem) for level in levels]
     for _ in range(len(joint) - len(steps)):
         coeffs = list(accumulate(coeffs))
     # g_n may be negative (1x2 has g = 1/(1 + t)); F_n may not
@@ -354,30 +340,46 @@ def _partition_counts(top: int) -> list:
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
     """Predicted work of _block_series: per class of S_m and block, the passes
     _times_power_sum makes over p_rho's C(m+N-1, N-1) keys, one copy and
-    N - 1 shifts.  molien_series asks only when no block is wider than the
-    degree, so N needs no cap here."""
-    classes = _partition_counts(max_degree)
+    N - 1 shifts, and CLASS_KEYS for the class's integrals.  molien_series
+    asks only when no block is wider than the degree, so N needs no cap here."""
+    classes, sizes = _partition_counts(max_degree), {problem.n1, problem.n2}
     return sum(
-        classes[m] * size * comb(m + size - 1, size - 1)
-        for size in {problem.n1, problem.n2}
+        classes[m] * (CLASS_KEYS + sum(n * comb(m + n - 1, n - 1) for n in sizes))
         for m in range(max_degree + 1)
     )
 
 
-def _joint_cost(problem: CensusProblem, max_degree: int) -> int:
-    """Predicted work of _joint_series: its nonzero steps times the keys within
-    reach, summed over the levels.  Digit j of a U(N) block's Weyl factor spans
-    +-j(N - j), so a level-k digit lies within k of the origin and within
-    max_degree - k of that range."""
-    n1, n2 = problem.n1, problem.n2
-    keys = 0
-    for k in range(max_degree + 1):
-        keys += prod(
-            min(2 * k + 1, 2 * j * (size - j) + 1 + 2 * (max_degree - k))
-            for size in (n1, n2)
-            for j in range(1, size)
-        )
-    return (n1 * n1 * n2 * n2 - n1 * n2) * keys
+def _joint_estimate(problem: CensusProblem, max_degree: int) -> tuple:
+    """(predicted work, bytes) of _joint_series, by the module docstring: level
+    k >= 1 spans the words up to its box's top key, and its mask as many where
+    one binds.  All stay live, and peak RSS grew by up to 1.7 times them."""
+    n1, n2, windows = problem.n1, problem.n2, _windows(problem, max_degree)
+    off, nsteps = _offset(problem, max_degree), n1 * n1 * n2 * n2 - n1 * n2
+    width, work, held = _digit_width(nsteps, max_degree), 0, 0
+    for k, window in enumerate(windows[1:], 1):
+        words = (_packed([off + half for half in window], 2 * off + 1) + 1) * width // 64 + 1
+        mask = words if min(window, default=k) < k else 0
+        work, held = work + 2 * words + mask, held + words + mask
+    reads = (max_degree + 1) * prod(2 * half + 1 for half in windows[-1])
+    return nsteps * (work // WORDS_PER_KEY + PASS_KEYS * max_degree) + READ_KEYS * reads, 16 * held
+
+
+def _engine(problem: CensusProblem, max_degree: int):
+    """The engine the rule picks.  A block engine's walk holds one p_rho per
+    size m <= D and block of N rows, C(D + N, N) keys of about 100 bytes."""
+    rows = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
+    block_fits = 100 * sum(comb(max_degree + n, n) for n in rows) <= MAX_ENGINE_BYTES
+    if max(problem.n1, problem.n2) <= max_degree:  # only the block engine caps the rows
+        work, held = _joint_estimate(problem, max_degree)
+        cheaper = block_fits and _block_cost(problem, max_degree) < work
+        if held <= MAX_ENGINE_BYTES and not cheaper:
+            return _joint_series
+    if block_fits:
+        return _block_series
+    raise ResourceLimitError(
+        f"{problem.n1}x{problem.n2} to degree {max_degree} fits no Molien engine"
+        f" in {MAX_ENGINE_BYTES} bytes"
+    )
 
 
 def molien_coefficient(
@@ -391,10 +393,6 @@ def molien_coefficient(
 def molien_series(
     problem: CensusProblem, max_degree: int, degree_limit: int = DEFAULT_DEGREE_LIMIT
 ) -> Series:
-    """Molien series of the problem through max_degree, by whichever engine has
-    the smaller predicted cost."""
+    """Molien series of the problem through max_degree, by the engine _engine picks."""
     _require_degree("max_degree", max_degree, degree_limit)
-    wide = max(problem.n1, problem.n2) > max_degree  # only the block engine caps it
-    if wide or _block_cost(problem, max_degree) < _joint_cost(problem, max_degree):
-        return _block_series(problem, max_degree)
-    return _joint_series(problem, max_degree)
+    return _engine(problem, max_degree)(problem, max_degree)

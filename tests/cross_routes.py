@@ -41,6 +41,19 @@ loop that uses none of the package, the median start-up time of k
 `python -m invcensus --version` children, which every row's time includes,
 and per row the median, least and greatest wall seconds, the largest peak
 RSS and the failures.
+
+Time the Molien engines on the rows of the engine rule:
+
+    python tests/cross_routes.py --rule-times BENCH_<version>.json --repeat k
+
+runs one child per row of RULE_ROWS.  The child times each engine in-process,
+best of k, clearing every memo before each run, and names the engine the
+rule picks.  It skips an engine whose memory estimate passes the rule's
+bound, or whose predicted work is SKIP_RATIO times the other's; a skipped
+engine counts as the slower one.  The run appends one record, as --record
+does, whose "rule_rows" hold per row the system, the degree, block_s,
+joint_s, the rule's pick and the faster engine, and it prints one line per
+row where the rule picks the slower engine.
 """
 
 import argparse
@@ -114,10 +127,13 @@ class Route:
 
 
 # Every 1 <= N1 <= N2 <= 5 has a row.  The 2x1 and 3x2 rows run the Molien
-# route with the larger block first; their swaps run the census both ways.
+# route with the larger block first, and 2x3 with the smaller; their swaps
+# run the census both ways.
 # 1x2 runs it with an a-block of no digit, so a joint key is its b-key.  The
 # rows past 5x5 have blocks with more rows than the degree, which the block
 # engine runs at min(N, D) rows and whose shapes get at most l(kappa)! terms.
+# Of the CI rows, 2x3 to 40 runs the joint product with packed levels (its
+# levels and masks take 35 MiB), and 1x5 to 16 now does too (25 MiB).
 ROUTES = (
     Route(1, 1, 12, closed_form=one_by(1)),
     Route(1, 2, 12, closed_form=one_by(2)),
@@ -127,6 +143,7 @@ ROUTES = (
     Route(1, 5, 10, closed_form=one_by(5)),
     Route(2, 2, 32, closed_form=TWO_BY_TWO),
     Route(3, 2, 20),
+    Route(2, 3, 12),
     Route(2, 4, 8),
     Route(2, 5, 6),
     Route(3, 3, 10),
@@ -140,17 +157,82 @@ ROUTES = (
     Route(12, 12, 6),
     Route(2, 2, 40, CI, TWO_BY_TWO, rss_mb=30),
     Route(2, 3, 24, CI, rss_mb=40),
+    Route(2, 3, 40, CI, rss_mb=100),
     Route(3, 3, 12, CI, rss_mb=40),
     Route(4, 5, 3, CI, rss_mb=40),
     Route(5, 5, 3, CI, rss_mb=60),
     Route(4, 4, 12, CI, rss_mb=40),
     Route(5, 5, 8, CI, rss_mb=40),
     Route(2, 5, 16, CI, rss_mb=40),
-    Route(1, 5, 16, CI, closed_form=one_by(5), rss_mb=40),
+    Route(1, 5, 16, CI, closed_form=one_by(5), rss_mb=70),
     Route(8, 8, 8, CI, rss_mb=40),
     Route(9, 9, 9, CI, rss_mb=40),
     Route(12, 12, 6, CI, rss_mb=40),
 )
+
+
+# The engine rule's rows: a system N1 x N2, a degree and the engine that ran
+# faster there (BENCH_0.33.0.json, `--rule-times` with --repeat 3).  2x4/30
+# is the block engine's because the joint product's memory estimate passes
+# the rule's bound there.  tests/test_molien.py checks the rule's pick on each.
+RULE_ROWS = (
+    (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "joint"),
+    (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "joint"),
+    (2, 3, 16, "joint"), (2, 3, 20, "joint"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
+    (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
+    (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"), (1, 4, 10, "joint"),
+    (1, 5, 17, "joint"), (2, 4, 30, "block"), (2, 2, 8, "joint"), (2, 2, 12, "joint"),
+    (2, 2, 15, "joint"), (1, 3, 5, "joint"), (1, 4, 11, "joint"), (2, 3, 21, "joint"),
+)
+SKIP_RATIO = 1000
+RULE_CHILD = """
+import json, sys, time
+import invcensus.molien as molien
+from invcensus import clear_caches
+from invcensus.census import CensusProblem
+
+n1, n2, degree, repeat, skip = map(int, sys.argv[1:])
+problem = CensusProblem(n1, n2)
+work, held = molien._joint_estimate(problem, degree)
+block = molien._block_cost(problem, degree)
+times = {"rule": molien._engine(problem, degree).__name__.split("_")[1]}
+for name, engine, runs in (
+    ("block", molien._block_series, block < skip * work or held > molien.MAX_ENGINE_BYTES),
+    ("joint", molien._joint_series, work < skip * block and held <= molien.MAX_ENGINE_BYTES),
+):
+    times[name + "_s"] = None
+    for _ in range(repeat if runs else 0):
+        clear_caches()
+        start = time.perf_counter()
+        engine(problem, degree)
+        seconds = time.perf_counter() - start
+        times[name + "_s"] = min(seconds, times[name + "_s"] or seconds)
+print(json.dumps(times))
+"""
+
+
+def child_env() -> dict:
+    """The environment of a child: this one, with src/ first on PYTHONPATH."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
+def time_engines(row: tuple, repeat: int) -> dict:
+    """The RULE_CHILD timings of one rule row, in a fresh child."""
+    n1, n2, degree, _ = row
+    argv = [sys.executable, "-c", RULE_CHILD, *map(str, (n1, n2, degree, repeat, SKIP_RATIO))]
+    child = subprocess.run(argv, env=child_env(), capture_output=True, text=True, check=True)
+    return json.loads(child.stdout)
+
+
+def rule_record(row: tuple, times: dict) -> dict:
+    """One rule row of a record: its timings, the rule's pick and the faster
+    engine, a skipped engine (None) counting as the slower."""
+    n1, n2, degree, _ = row
+    block, joint = times["block_s"], times["joint_s"]
+    faster = "block" if joint is None or (block is not None and block < joint) else "joint"
+    return {"system": f"{n1}x{n2}", "max_degree": degree, "block_s": block, "joint_s": joint,
+            "rule": times["rule"], "faster": faster}
 
 
 @dataclass(frozen=True)
@@ -302,8 +384,7 @@ def judge(job: Job, status: int, stdout: str, peak_mb: float, earlier: dict) -> 
 
 def run(argv: tuple) -> tuple:
     """(exit status, stdout, peak RSS in MB) of one `python -m invcensus` child."""
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    env = child_env()
     command = [sys.executable, "-m", "invcensus", *argv, "--format", "json"]
     with tempfile.TemporaryFile() as out:
         stdout_to_out = [(os.POSIX_SPAWN_DUP2, out.fileno(), 1)]
@@ -379,10 +460,20 @@ def append_run(path: Path, run_record: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Run the CI rows and the long checks.")
     parser.add_argument("--record", type=Path, help="append a performance run to this JSON file")
+    parser.add_argument("--rule-times", type=Path, help="append timings of the rule rows instead")
     parser.add_argument("--repeat", type=int, default=1, help="runs of each row (default 1)")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
+    if args.rule_times:
+        rows = [rule_record(row, time_engines(row, args.repeat)) for row in RULE_ROWS]
+        for row in rows:
+            if row["rule"] != row["faster"]:
+                where = f"{row['system']}/{row['max_degree']}"
+                times = f"block {row['block_s']} s, joint {row['joint_s']} s"
+                print(f"wrong pick {where}: the rule runs {row['rule']}, {times}", flush=True)
+        append_run(args.rule_times, {**environment(args.repeat), "rule_rows": rows})
+        return 0
     earlier, rows = {}, {}
     for job in JOBS:
         runs = []

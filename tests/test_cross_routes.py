@@ -6,6 +6,7 @@ from cross_routes import (
     CI,
     JOBS,
     ROUTES,
+    RULE_ROWS,
     SHOWN_2X2_D16,
     TIER1,
     dimension,
@@ -152,3 +153,41 @@ def test_record_run_from_canned_children(tmp_path, monkeypatch, capsys):
     assert [line for line in out if line.startswith("FAIL")] == [
         line for line in out if line.startswith(f"FAIL {FACTOR}: ") and line.endswith("; a failure")
     ]
+
+
+def test_rule_times_from_canned_children(tmp_path, monkeypatch, capsys):
+    # no child process: every rule row gets canned timings, in which the first
+    # row's block engine runs faster than the joint product the rule picks,
+    # one block row skips the joint product, and git is not found
+    def canned_times(row, repeat):
+        assert repeat == 3
+        if row == RULE_ROWS[0]:
+            return {"rule": "joint", "block_s": 0.1, "joint_s": 0.2}
+        if row == (2, 4, 30, "block"):
+            return {"rule": "block", "block_s": 40.0, "joint_s": None}
+        return {"rule": row[3], "block_s": 0.3 if row[3] == "joint" else 0.1, "joint_s": 0.2}
+
+    def no_git(*args, **kwargs):
+        raise OSError("no git")
+
+    spawned = []
+    monkeypatch.setattr(cross_routes, "time_engines", canned_times)
+    monkeypatch.setattr(cross_routes, "run", lambda argv: spawned.append(argv) or (0, "", 20.0))
+    monkeypatch.setattr(cross_routes, "calibrate", lambda: 0.01)
+    monkeypatch.setattr(cross_routes.subprocess, "run", no_git)
+    path = tmp_path / "BENCH.json"
+    assert cross_routes.main(["--rule-times", str(path), "--repeat", "3"]) == 0
+    assert spawned == [("--version",)] * 3  # start-up only: no CI row ran
+    (record,) = json.loads(path.read_text())["runs"]
+    keys = ["version", "commit", "python", "cpus", "calibration_s", "startup_s", "repeat"]
+    assert list(record) == keys + ["rule_rows"]
+    rows = record["rule_rows"]
+    assert [(row["system"], row["max_degree"]) for row in rows] == [
+        (f"{n1}x{n2}", degree) for n1, n2, degree, _ in RULE_ROWS
+    ]
+    for row, (_, _, _, engine) in zip(rows, RULE_ROWS):
+        assert list(row) == ["system", "max_degree", "block_s", "joint_s", "rule", "faster"]
+        assert row["faster"] == ("block" if row is rows[0] else engine)
+    assert rows[RULE_ROWS.index((2, 4, 30, "block"))]["joint_s"] is None
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["wrong pick 1x3/12: the rule runs joint, block 0.1 s, joint 0.2 s"]

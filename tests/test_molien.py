@@ -5,6 +5,7 @@ from math import comb, factorial
 from pathlib import Path
 
 import pytest
+from cross_routes import RULE_ROWS
 
 import invcensus.molien as molien
 from invcensus.census import CensusProblem, generating_series
@@ -29,11 +30,6 @@ def ndigits(problem):
     return problem.n1 + problem.n2 - 2
 
 
-def whole_box(problem, n):
-    """The digit range of every key to degree n, which drops no key."""
-    return [(0, 2 * molien._offset(problem, n))] * ndigits(problem)
-
-
 def weight_steps(problem, base):
     """Sorted packed steps of the nonzero weights and the number of zero
     weights; a weight's step is its a-step plus its b-step times base^(N1-1)."""
@@ -47,16 +43,42 @@ def weight_steps(problem, base):
     return steps, len(joint) - len(steps)
 
 
-def complete_homogeneous_levels(problem, n, reach):
-    """Checked levels h'_0 .. h'_n of the nonzero weights, keeping the keys that
-    can still reach `reach`, the number of zero weights and the key offset."""
-    off = molien._offset(problem, n)
+def layout(problem, n, pruned):
+    """(offset, W, level masks) of the joint product to degree n: the engine's
+    own when pruned, else an offset past every digit to degree n and no mask,
+    which drops no key."""
+    off = molien._offset(problem, n) if pruned else n + 1
+    width = molien._digit_width(len(weight_steps(problem, 2 * off + 1)[0]), n)
+    if not pruned:
+        return off, width, [None] * (n + 1)
+    windows = enumerate(molien._windows(problem, n))
+    masks = [molien._mask(w, off, width) if min(w, default=k) < k else None for k, w in windows]
+    return off, width, masks
+
+
+def digits_of(level, width):
+    """The {key: coefficient} of a packed level, one W-bit digit per key."""
+    data, size = level.to_bytes(-(-level.bit_length() // 8), "little"), width // 8
+    coefficients = (int.from_bytes(data[i : i + size], "little") for i in range(0, len(data), size))
+    return {key: c for key, c in enumerate(coefficients) if c}
+
+
+def packed_levels(problem, n, pruned=False):
+    """Checked packed levels h'_0 .. h'_n of the nonzero weights, the number of
+    zero weights, the key offset and W; pruned as the engine prunes them, or
+    whole."""
+    off, width, masks = layout(problem, n, pruned)
     base = 2 * off + 1
     steps, zeros = weight_steps(problem, base)
-    tests = molien._reach_tests(reach, off, base, n)
-    levels = molien._product_levels(origin_key(problem, off), steps, n, tests)
-    molien._check_levels(levels, off, base, ndigits(problem))
-    return levels, zeros, off
+    levels = molien._product_levels(origin_key(problem, off), steps, masks, width)
+    molien._check_levels(levels, masks, len(steps), base ** ndigits(problem), width)
+    return levels, zeros, off, width
+
+
+def complete_homogeneous_levels(problem, n, pruned=False):
+    """packed_levels with each level as {key: coefficient}, less W."""
+    levels, zeros, off, width = packed_levels(problem, n, pruned)
+    return [digits_of(level, width) for level in levels], zeros, off
 
 
 def zero_weight_scalar(zeros, n):
@@ -68,7 +90,7 @@ def zero_weight_scalar(zeros, n):
 def complete_homogeneous(problem, n):
     """h_n of the adjoint eigenvalues, zero weights included, on packed keys,
     with the key offset."""
-    levels, zeros, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    levels, zeros, off = complete_homogeneous_levels(problem, n)
     terms = Counter()
     for k, scalar in enumerate(zero_weight_scalar(zeros, n)):
         for key, c in levels[n - k].items():
@@ -85,18 +107,20 @@ def unpacked(key, off, ndigits):
     return tuple(key // base**i % base - off for i in range(ndigits))
 
 
-def weyl_blocks(problem, off):
-    """The block pair (Delta(a), Delta(b)) and the joint key's split base^(N1-1)."""
+def weyl_pairs(problem, off):
+    """The engine's (joint key, coefficient) pairs of Delta(a)·Delta(b), each
+    joint key ka + kb·base^(N1-1), less the keys with a digit at or past off."""
     base = 2 * off + 1
-    pair = tuple(
-        molien._weyl_factor(molien._packed([off] * (n - 1), base), molien._block_steps(n, base))
-        for n in (problem.n1, problem.n2)
-    )
-    return pair, base ** (problem.n1 - 1)
+    delta_a, delta_b = (molien._weyl_factor(n, off, base) for n in (problem.n1, problem.n2))
+    split = base ** (problem.n1 - 1)
+    return [(a + b * split, ca * cb) for a, ca in delta_a.items() for b, cb in delta_b.items()]
 
 
 def haar_average(problem, terms, off):
-    return molien._haar_average(terms, *weyl_blocks(problem, off), problem)
+    """The engine's Haar average of nonnegative {key: coefficient} terms."""
+    width = 8 * -(-max(terms.values(), default=1).bit_length() // 8)
+    level = sum(c << key * width for key, c in terms.items())
+    return molien._haar_average(level, weyl_pairs(problem, off), width, problem)
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -186,7 +210,7 @@ def test_complete_homogeneous_counts_multisets(problem):
     # at x = 1, h_n counts the degree-n multisets of the N1^2 * N2^2 eigenvalues:
     # sum_k C(k + N1·N2 - 1, k) · (sum of h'_{n-k}) = C(N1^2·N2^2 + n - 1, n)
     dim = problem.n1**2 * problem.n2**2
-    levels, zeros, _ = complete_homogeneous_levels(problem, 6, whole_box(problem, 6))
+    levels, zeros, _ = complete_homogeneous_levels(problem, 6)
     scalar = zero_weight_scalar(zeros, 6)
     for n in range(7):
         total = sum(scalar[k] * sum(levels[n - k].values()) for k in range(n + 1))
@@ -210,15 +234,16 @@ def test_haar_one_qubit_trace_invariant():
 
 def test_haar_negative_value_surfaced():
     # z + 1/z with z = a1/a2 is not a character; its Haar average is exactly -1
+    # (at degree 1, whose layout holds the keys z and 1/z)
     problem = CensusProblem(2, 1)
-    off = molien._offset(problem, 0)
+    off = molien._offset(problem, 1)
     center = origin_key(problem, off)
     assert haar_average(problem, {center + 1: 1, center - 1: 1}, off) == -1
 
 
 def test_haar_inexact_division_rejected():
     problem = CensusProblem(2, 1)
-    off = molien._offset(problem, 0)
+    off = molien._offset(problem, 1)
     with pytest.raises(ConsistencyError, match="Haar average for 2x1 is -1/2, not an integer"):
         haar_average(problem, {origin_key(problem, off) + 1: 1}, off)
 
@@ -228,20 +253,19 @@ def test_complete_homogeneous_rejects_exponent_past_bound(monkeypatch):
     roots = molien._block_roots
     monkeypatch.setattr(molien, "_block_roots", lambda size: [(5,)] if size == 2 else roots(size))
     with pytest.raises(ConsistencyError, match="past the bound"):
-        complete_homogeneous_levels(problem, 1, whole_box(problem, 1))
+        complete_homogeneous_levels(problem, 1)
     with pytest.raises(ConsistencyError, match="past the bound"):
         molien._joint_series(problem, 1)
 
 
 def test_negative_molien_coefficient_rejected(monkeypatch):
-    # negating Delta(a) alone negates the product; 2x1's b-block has size 1,
-    # so no nonzero step
+    # negating Delta(a) alone negates the product; 2x1's b-block has size 1
     weyl = molien._weyl_factor
     monkeypatch.setattr(
         molien,
         "_weyl_factor",
-        lambda origin, steps: {
-            e: (-c if any(steps) else c) for e, c in weyl(origin, steps).items()
+        lambda size, off, base: {
+            e: (-c if size > 1 else c) for e, c in weyl(size, off, base).items()
         },
     )
     with pytest.raises(ConsistencyError, match="came out negative"):
@@ -264,7 +288,7 @@ def test_pack_unpack_round_trip_over_the_box(n1, n2):
 
 def test_trivial_system_levels_are_empty_above_zero():
     # 1x1 has r = 0 root coordinates and only its one zero weight
-    levels, zeros, off = complete_homogeneous_levels(CensusProblem(1, 1), 4, [])
+    levels, zeros, off = complete_homogeneous_levels(CensusProblem(1, 1), 4, pruned=True)
     assert zeros == 1
     assert levels == [{0: 1}, {}, {}, {}, {}]
 
@@ -282,41 +306,75 @@ def test_carrying_weight_rejected_before_packing(monkeypatch):
             molien._joint_series(CensusProblem(n1, n2), 1)
 
 
-@pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
-def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
-    # the weights are untouched, so only the check on finished levels can fire;
-    # a key one box width away has every digit in range and only the box check sees it
-    problem = CensusProblem(2, 1)
-    base = 2 * molien._offset(problem, 2) + 1
-    stray = {"above the box": base, "below the box": -base, "digit past n": 2}[shift]
+def corrupt_level(monkeypatch, k, stray):
+    """Make _product_levels add one to level k's digit at the key stray(origin)."""
     product_levels = molien._product_levels
 
-    def corrupted(origin, steps, max_degree, tests):
-        levels = product_levels(origin, steps, max_degree, tests)
-        levels[1][origin + stray] = 1
+    def corrupted(origin, steps, masks, width):
+        levels = product_levels(origin, steps, masks, width)
+        levels[k] += 1 << stray(origin) * width
         return levels
 
     monkeypatch.setattr(molien, "_product_levels", corrupted)
-    with pytest.raises(ConsistencyError, match="past the bound"):
-        molien._joint_series(problem, 2)
-    with pytest.raises(ConsistencyError, match="past the bound"):
-        complete_homogeneous_levels(problem, 2, whole_box(problem, 2))
 
 
-def weyl_reach(problem, n):
-    """The Weyl factor's per-digit range, as molien_series passes it down."""
-    off = molien._offset(problem, n)
-    (delta_a, delta_b), _ = weyl_blocks(problem, off)
-    base = 2 * off + 1
-    return molien._digit_ranges(delta_a, base, problem.n1 - 1) + molien._digit_ranges(
-        delta_b, base, problem.n2 - 1
-    )
+@pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
+def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
+    # the weights are untouched, so only the checks on finished levels can fire:
+    # a key one box width up fails the box's bit length, and a key at the box's
+    # low corner or with a digit past the level changes h'_1's digit sum.  2x1
+    # has one digit, so the origin key is the offset and the base 2·origin + 1.
+    strays = {
+        "above the box": lambda origin: 2 * origin + 1,
+        "below the box": lambda origin: 0,
+        "digit past n": lambda origin: origin + 2,
+    }
+    corrupt_level(monkeypatch, 1, strays[shift])
+    match = "outside its box" if shift == "above the box" else "digit sum .*, not its 2 monomials"
+    with pytest.raises(ConsistencyError, match=match):
+        molien._joint_series(CensusProblem(2, 1), 2)
+    with pytest.raises(ConsistencyError, match=match):
+        complete_homogeneous_levels(CensusProblem(2, 1), 2)
+
+
+def test_narrow_digit_width_rejected(monkeypatch):
+    # a W one byte narrower than C(D + s - 1, s - 1) needs: on 2x2 to 16 the
+    # unmasked h'_8 holds C(19, 11) = 75582 monomials, past 2^16 - 1
+    width = molien._digit_width
+    assert width(12, 16) == 24
+    monkeypatch.setattr(molien, "_digit_width", lambda nsteps, degree: width(nsteps, degree) - 8)
+    with pytest.raises(ConsistencyError, match="h'_8 has digit sum .*, not its 75582 monomials"):
+        molien._joint_series(CensusProblem(2, 2), 16)
+
+
+def test_stray_digit_outside_its_window_rejected(monkeypatch):
+    # 2x3 to 11 masks levels 7 .. 11; the origin's top digit plus 6 lies inside
+    # the box but outside level 11's window, which the product never fills,
+    # and only the mask check sees it
+    problem, n = CensusProblem(2, 3), 11
+    base = 2 * molien._offset(problem, n) + 1
+    masked = [min(w) < k for k, w in enumerate(molien._windows(problem, n))]
+    assert masked == [False] * 7 + [True] * 5
+    corrupt_level(monkeypatch, n, lambda origin: origin + 6 * base**2)
+    with pytest.raises(ConsistencyError, match="h'_11 has a key outside its box"):
+        molien._joint_series(problem, n)
+
+
+def test_level_past_its_bit_length_rejected(monkeypatch):
+    # a digit at key base^3, one past the box, on the unmasked h'_1 of 2x3 to 11
+    problem, n = CensusProblem(2, 3), 11
+    base = 2 * molien._offset(problem, n) + 1
+    corrupt_level(monkeypatch, 1, lambda origin: base**3)
+    match = f"h'_1 has a key outside its box, in {base**3} keys"
+    with pytest.raises(ConsistencyError, match=match):
+        molien._joint_series(problem, n)
 
 
 def unpruned_series(problem, n):
     """F_0 .. F_n from the whole-box product, which drops no key."""
-    levels, zeros, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
-    averages = [haar_average(problem, level, off) for level in levels]
+    levels, zeros, off, width = packed_levels(problem, n)
+    weyl = weyl_pairs(problem, off)
+    averages = [molien._haar_average(level, weyl, width, problem) for level in levels]
     scalar = zero_weight_scalar(zeros, n)
     return Series([sum(scalar[k] * averages[m - k] for k in range(m + 1)) for m in range(n + 1)])
 
@@ -331,23 +389,25 @@ def test_pruned_series_equals_the_whole_box_product(n1, n2, n):
 
 def test_pruned_levels_are_the_full_levels_within_reach():
     # a level-k key is kept iff each root coordinate c_i lies within n - k of
-    # the Weyl factor's range [lo_i, hi_i], which for U(N) is +-floor(N^2/4)
+    # the Weyl factor's range [-h_i, h_i], h_i = j(N - j) for digit j of U(N)
     problem, n = CensusProblem(2, 3), 8
-    off = molien._offset(problem, n)
-    reach = weyl_reach(problem, n)
-    assert [(lo - off, hi - off) for lo, hi in reach] == [(-1, 1), (-2, 2), (-2, 2)]
-    pruned, _, _ = complete_homogeneous_levels(problem, n, reach)
-    full, _, _ = complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    reach = molien._windows(problem, n)[n]
+    spans = []
+    for size in (2, 3):
+        keys = molien._weyl_factor(size, 5, 11)
+        columns = zip(*(unpacked(e, 5, size - 1) for e in keys))
+        spans += [max(abs(c) for c in column) for column in columns]
+    assert reach == spans == [1, 2, 2]
+    pruned, _, off = complete_homogeneous_levels(problem, n, pruned=True)
+    full, _, full_off = complete_homogeneous_levels(problem, n)
     for k, (kept, level) in enumerate(zip(pruned, full)):
+        coords = {unpacked(key, full_off, 3): c for key, c in level.items()}
         within = {
-            key: c
-            for key, c in level.items()
-            if all(
-                lo - (n - k) <= c_i + off <= hi + (n - k)
-                for c_i, (lo, hi) in zip(unpacked(key, off, 3), reach)
-            )
+            v: c
+            for v, c in coords.items()
+            if all(abs(c_i) <= h + n - k for c_i, h in zip(v, reach))
         }
-        assert kept == within
+        assert {unpacked(key, off, 3): c for key, c in kept.items()} == within
     assert len(pruned[n]) < len(full[n])
 
 
@@ -355,7 +415,7 @@ def test_pruned_levels_are_the_full_levels_within_reach():
 def test_pruned_levels_inversion_symmetric(problem):
     # the Weyl factor's range is symmetric about the origin, so the kept keys are too
     n = 10
-    levels, _, off = complete_homogeneous_levels(problem, n, weyl_reach(problem, n))
+    levels, _, off = complete_homogeneous_levels(problem, n, pruned=True)
     center = origin_key(problem, off)
     for level in levels:
         assert {2 * center - key: c for key, c in level.items()} == level
@@ -382,13 +442,15 @@ def test_haar_sum_equals_the_joint_expansion(n1, n2):
     # the sum over pairs of block keys reads the constant term against the
     # joint Weyl factor at every level
     problem, n = CensusProblem(n1, n2), 6
-    levels, _, off = complete_homogeneous_levels(problem, n, whole_box(problem, n))
+    levels, _, off, width = packed_levels(problem, n)
     joint = joint_weyl_factor(problem, off)
     order = factorial(n1) * factorial(n2)
     for level in levels:
-        quotient, remainder = divmod(sum(c * joint.get(e, 0) for e, c in level.items()), order)
+        digit = (1 << width) - 1
+        terms = sum(c * (level >> e * width & digit) for e, c in joint.items())
+        quotient, remainder = divmod(terms, order)
         assert remainder == 0
-        assert haar_average(problem, level, off) == quotient
+        assert molien._haar_average(level, weyl_pairs(problem, off), width, problem) == quotient
 
 
 @pytest.mark.parametrize(
@@ -573,28 +635,19 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
         molien._block_series(CensusProblem(2, 1), 2)
 
 
-# Each row's engine is the faster one in the 0.29.0 timings (CHANGES.md,
-# in-process, best of 3, cold memos); 1x4/10, 1x5/17 and 2x4/30 moved to the
-# block engine there.  2x2/40, 2x2/90 and 1x4/24 stay on the joint product,
-# whose estimate lists no partition.
-@pytest.mark.parametrize(
-    "n1, n2, max_degree, engine",
-    [
-        (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "block"),
-        (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "block"),
-        (2, 3, 16, "block"), (2, 3, 20, "block"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
-        (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
-        (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"), (1, 4, 10, "block"),
-        (1, 5, 17, "block"), (2, 4, 30, "block"),
-    ],
-)
+# Each row's engine is the one that ran faster in BENCH_0.33.0.json
+# (`python tests/cross_routes.py --rule-times`, in-process, best of 3, cold
+# memos).  The packed joint product moved 2x3/11-20, 1x4/10 and 1x5/16-17 to
+# it (block / joint: 2x3/11 4.0 / 1.65 ms, 2x3/16 26 / 6.3 ms, 2x3/20 107 /
+# 15 ms, 1x4/10 5.1 / 1.8 ms, 1x5/16 296 / 201 ms, 1x5/17 455 / 244 ms);
+# 2x4/30 stays on the block engine (17.4 s) because the joint product's
+# memory estimate passes MAX_ENGINE_BYTES there.
+@pytest.mark.parametrize("n1, n2, max_degree, engine", RULE_ROWS)
 def test_rule_picks_the_measured_engine(n1, n2, max_degree, engine):
-    problem = CensusProblem(n1, n2)
-    block, joint = molien._block_cost(problem, max_degree), molien._joint_cost(problem, max_degree)
-    assert ("block" if block < joint else "joint") == engine
+    assert molien._engine(CensusProblem(n1, n2), max_degree) is getattr(molien, f"_{engine}_series")
 
 
-@pytest.mark.parametrize("n1, n2, max_degree, engine", [(2, 3, 11, "block"), (2, 2, 16, "joint")])
+@pytest.mark.parametrize("n1, n2, max_degree, engine", [(2, 3, 11, "joint"), (2, 2, 16, "joint")])
 def test_molien_series_runs_the_engine_the_rule_picks(monkeypatch, n1, n2, max_degree, engine):
     ran = []
     for name in ("block", "joint"):
@@ -607,9 +660,18 @@ def test_a_block_wider_than_the_degree_runs_the_block_engine(monkeypatch):
     def no_estimate(problem, max_degree):
         raise RuntimeError("the joint estimate ran")
 
-    monkeypatch.setattr(molien, "_joint_cost", no_estimate)
+    monkeypatch.setattr(molien, "_joint_estimate", no_estimate)
     problem = CensusProblem(7, 2)
     assert molien_series(problem, 5) == generating_series(problem, 5)
+
+
+def test_a_system_neither_engine_fits_is_refused():
+    # 2x2 to 3000: the joint levels need about 3.6 GB, and the block engine's
+    # p_rho 100·C(3002, 2) = 450 MB, both past MAX_ENGINE_BYTES
+    problem = CensusProblem(2, 2)
+    assert molien._joint_estimate(problem, 3000)[1] > molien.MAX_ENGINE_BYTES
+    with pytest.raises(ResourceLimitError, match="2x2 to degree 3000 fits no Molien engine"):
+        molien_series(problem, 3000, 3000)
 
 
 def test_a_million_row_block_costs_its_degree():
@@ -631,16 +693,6 @@ def test_molien_coefficient_two_qubit_values():
 @pytest.mark.parametrize("n", range(7))
 def test_molien_coefficient_trivial_system(n):
     assert molien_coefficient(CensusProblem(1, 1), n) == 1
-
-
-# the cross-route table (tests/cross_routes.py) checks the other systems; no
-# tier-1 row there runs the Molien route on 2x3 in this block order
-@pytest.mark.parametrize("n1, n2, max_degree", [(2, 3, 8)])
-def test_molien_agrees_with_census_wider_grid(n1, n2, max_degree):
-    problem = CensusProblem(n1, n2)
-    assert molien_series(problem, max_degree, degree_limit=max_degree) == generating_series(
-        problem, max_degree, degree_limit=max_degree
-    )
 
 
 def test_molien_series_two_qubits():
@@ -706,6 +758,7 @@ def test_route_imports_only_the_names_it_shares():
         ("census", "DEFAULT_DEGREE_LIMIT"),
         ("census", "_require_degree"),
         ("errors", "ConsistencyError"),
+        ("errors", "ResourceLimitError"),
         ("errors", "exact_quotient"),
         ("partitions", "partitions_of"),
         ("series", "Series"),
