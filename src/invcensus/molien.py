@@ -19,15 +19,16 @@ weights.  One pass over prod_w 1/(1 - t z^w) on the nonzero weights gives
 levels h'_n with no division, each Haar-averaged to g_n against the block
 factors Delta(a)·Delta(b) at key pairs ka + kb·B^(N1-1); the zero weights
 add 1/(1 - t)^(N1·N2), so F is g after N1·N2 prefix sums.  Level k is one
-integer sum_key c_key·2^(key·W) (Kronecker substitution), so a step is one
-shift by step·W and one add per level, and W, the bit length of the most
-monomials C(D+s-1, s-1) of the s nonzero steps in whole bytes, holds any
-coefficient.  Digit j of a U(N) block's Weyl factor spans +-j(N - j), and a
-step moves each digit by at most 1, so a level-k key farther than D - k from
-that span cannot reach it: one AND with a mask of the level's box drops it,
-exactly.  Kept digits lie within min(D, (h + D)//2), h = floor(N^2/4), and
-off is one more, so a kept digit +-1 stays inside [0, B) and nothing carries;
-the Weyl factor is built at a base past its own digits and repacked.
+integer sum_key c_key·2^((key - low_k)·W) (Kronecker substitution), W the
+bit length of the most monomials C(D+s-1, s-1) of s steps in whole bytes,
+so a step is one shift and one add per level.  Digit j of a U(N) block's
+Weyl factor spans +-j(N - j), and a step moves each digit by at most 1, so
+a level-k key farther than D - k from that span never reaches it.  A level
+holds the slabs of B^(d-1) keys whose top digit can (low_k the least key),
+and where a digit's reach binds, an AND with a shared mask, ones where each
+lower digit is within off - 1 = min(D, (floor(N^2/4) + D)//2) of off, keeps
+each digit +-1 in [0, B): nothing carries, and no key in reach loses terms.
+The Weyl factor is built at a base past its own digits and repacked.
 
 The block engine integrates one block at a time.  The adjoint power sums
 factor, p_k(adj_1 (x) adj_2) = |p_k(x)|^2·|p_k(y)|^2, so Newton's identity
@@ -59,17 +60,17 @@ stays {0: 1}, and I_N(rho) = z_rho once N >= |rho| (Diaconis and
 Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
 
 A block wider than the degree goes to the block engine, capped at the
-degree, with no estimate.  Otherwise the rule compares two estimates in
-block-engine key passes, and runs the cheaper engine whose memory estimate
-fits MAX_ENGINE_BYTES:
+degree, with no estimate.  Otherwise the rule compares estimates in block
+engine key passes, S_k the keys of level k and M_k = 2 if it takes the mask:
 
     block ~ sum_{m<=D} p(m)·(CLASS_KEYS + sum_{N in {N1, N2}} N·C(m+N-1, N-1)),
-    joint ~ s·sum_{k=1..D} ((2·L_k + M_k)/WORDS_PER_KEY + PASS_KEYS)
+    joint ~ s·sum_{k=1..D} ((2 + M_k)·S_k·W/64/WORDS_PER_KEY + PASS_KEYS)
             + READ_KEYS·(D + 1)·prod_{blocks, j<N} (2·min(D, j(N - j)) + 1),
 
-L_k and M_k the words of level k and of its mask; the last term counts the
-Haar average's reads, one per key of the top level's box.  p(m) comes from a
-recurrence, so the estimate stays cheap where p(m) is large.
+the last term the Haar reads, p(m) from a recurrence.  It runs the cheaper
+engine whose memory estimate fits MAX_ENGINE_BYTES, the joint product only
+if it holds at most BYTES_PER_SPEEDUP per times it is faster (lean), and
+past its bound the block engine only within SLOWER_BLOCK times its estimate.
 """
 
 from itertools import accumulate, repeat
@@ -83,6 +84,7 @@ from .series import Series
 # The rule's costs, in block-engine key passes, fitted to both engines' timings (0.33.0)
 WORDS_PER_KEY, PASS_KEYS, READ_KEYS, CLASS_KEYS = 20, 10, 7, 400
 MAX_ENGINE_BYTES = 1 << 28  # neither engine runs past this memory estimate
+SLOWER_BLOCK, BYTES_PER_SPEEDUP = 10, 8 << 20  # see the rule, at the end of the docstring
 
 
 def _block_roots(size: int) -> list:
@@ -93,13 +95,6 @@ def _block_roots(size: int) -> list:
         for i in range(size)
         for j in range(size)
     ]
-
-
-def _offset(problem: CensusProblem, max_degree: int) -> int:
-    """Digit offset one past every kept digit, 1 + min(D, (h + D) // 2) for
-    h = floor(N^2/4), so a kept digit +-1 stays inside the base."""
-    h = max(problem.n1, problem.n2) ** 2 // 4
-    return 1 + min(max_degree, (h + max_degree) // 2)
 
 
 def _packed(coords, base: int) -> int:
@@ -130,50 +125,59 @@ def _windows(problem: CensusProblem, max_degree: int) -> list:
     return [[min(k, h + max_degree - k) for h in reach] for k in range(max_degree + 1)]
 
 
-def _digit_width(nsteps: int, max_degree: int) -> int:
-    """W: the bit length of C(D + s - 1, s - 1), the most monomials of s =
-    nsteps steps a level holds, in whole bytes."""
-    most = comb(max_degree + nsteps - 1, max_degree) if nsteps else 1
-    return 8 * -(-most.bit_length() // 8)
+def _layout(problem: CensusProblem, max_degree: int) -> tuple:
+    """(off, W, lows, spans, cuts, reach) of the joint levels, as the module
+    docstring says.  Where a window binds, cuts[k] keys off the shared mask
+    of `reach` keys fit it to level k's spans[k] keys; elsewhere it is None."""
+    n1, n2, windows = problem.n1, problem.n2, _windows(problem, max_degree)
+    off = 1 + min(max_degree, (max(n1, n2) ** 2 // 4 + max_degree) // 2)
+    nsteps, slab = n1 * n1 * n2 * n2 - n1 * n2, (2 * off + 1) ** max(n1 + n2 - 3, 0)
+    most = comb(max_degree + nsteps - 1, max_degree) if nsteps else 1  # monomials
+    width = 8 * -(-most.bit_length() // 8)
+    tops = [window[-1] if window else off for window in windows]  # 1x1: one key, at low 0
+    lows, spans = [(off - top) * slab for top in tops], [(2 * top + 1) * slab for top in tops]
+    bound = [min(window, default=k) < k for k, window in enumerate(windows)]
+    reach = max((span for span, binds in zip(spans, bound) if binds), default=0)
+    cuts = [reach - span if binds else None for span, binds in zip(spans, bound)]
+    return off, width, lows, spans, cuts, reach
 
 
-def _mask(window: list, off: int, width: int) -> int:
-    """A level's box of keys, digit i within off +- window[i], as W-bit digits
-    of all ones: per digit, the box below it copied across the window."""
+def _mask(digits: int, off: int, width: int, keys: int) -> int:
+    """`keys` keys of W-bit ones, each of the `digits` lower digits within off - 1 of off."""
     box = b"\xff" * (width // 8)
-    for half in window:
-        pad = bytes(len(box) * (off - half))
-        box = pad + box * (2 * half + 1) + pad
-    return int.from_bytes(box, "little")
+    for _ in range(digits):
+        pad = bytes(len(box))
+        box = pad + box * (2 * off - 1) + pad
+    return int.from_bytes(box * (keys * width // 8 // len(box)), "little")
 
 
-def _product_levels(origin: int, steps: list, masks: list, width: int) -> list:
-    """h'_0 .. h'_max_degree, level k packed as sum_key c_key·2^(key·W),
-    multiplying in 1/(1 - t z^w) for each packed step: one shift and one add
-    per level, and an AND with the level's mask where it has one."""
-    levels = [1 << origin * width] + [0] * (len(masks) - 1)
+def _product_levels(origin: int, steps: list, layout: tuple, mask: int) -> list:
+    """h'_0 .. h'_D, level k as sum_key c_key·2^((key - lows[k])·W): per packed step, one
+    shift and one add per level, and an AND with the mask's cut where a window binds."""
+    _, width, lows, _, cuts, _ = layout
+    levels = [1 << (origin - lows[0]) * width] + [0] * (len(lows) - 1)
     for step in steps:
-        shift = step * width
         for k in range(1, len(levels)):
-            below = levels[k - 1]
-            level = levels[k] + (below << shift if shift > 0 else below >> -shift)
-            levels[k] = level & masks[k] if masks[k] else level
+            shift, below = (step + lows[k - 1] - lows[k]) * width, levels[k - 1]
+            levels[k] += below << shift if shift > 0 else below >> -shift
+            if cuts[k] is not None:  # after the add, which frees the old level first
+                levels[k] &= mask >> cuts[k] * width
     return levels
 
 
-def _check_levels(levels: list, masks: list, nsteps: int, keys: int, width: int) -> None:
-    """Reject a level with a key past the box of `keys` keys or outside its
-    mask, or an unmasked level whose digit sum, L mod (2^W - 1), is not its
-    C(k + s - 1, s - 1) monomials, which W keeps below 2^W - 1.  L is folded in
-    halves first (2^(jW) = 1 there): dividing by a wide divisor is slow."""
-    for k, (level, mask) in enumerate(zip(levels, masks)):
-        if level.bit_length() > keys * width or mask and level & mask != level:
+def _check_levels(levels: list, layout: tuple, mask: int, nsteps: int) -> None:
+    """Reject a level with a key past its span or its cut of the mask, or an unmasked level
+    whose digit sum L mod (2^W - 1), L folded in halves first, is not its C(k+s-1, s-1)."""
+    _, width, _, spans, cuts, _ = layout
+    for k, (level, keys, cut) in enumerate(zip(levels, spans, cuts)):
+        kept = level if cut is None else level & mask >> cut * width
+        if level.bit_length() > keys * width or kept != level:
             raise ConsistencyError(f"h'_{k} has a key outside its box, in {keys} keys")
         count, total = comb(k + nsteps - 1, k) if k else 1, level
-        while mask is None and total.bit_length() > width:
+        while cut is None and total.bit_length() > width:
             half = (total.bit_length() // width + 1) // 2 * width
             total = (total >> half) + (total & (1 << half) - 1)
-        if mask is None and total % ((1 << width) - 1) != count:
+        if cut is None and total % ((1 << width) - 1) != count:
             total %= (1 << width) - 1
             raise ConsistencyError(f"h'_{k} has digit sum {total}, not its {count} monomials")
 
@@ -201,7 +205,7 @@ def _weyl_factor(size: int, off: int, base: int) -> dict:
 
 def _haar_average(level: int, weyl: list, width: int, problem: CensusProblem) -> int:
     """(1/N1!N2!) · constant term of level · Delta(a)·Delta(b), exactly.  weyl
-    lists (joint key, coefficient) pairs.  The roots come in pairs ±r, so Delta
+    lists (position, coefficient) pairs.  The roots come in pairs ±r, so Delta
     is invariant under inverting the variables: the constant term is
     sum_e level[e]·weyl[e], each level[e] read from its W/8 bytes."""
     data, size = level.to_bytes(-(-level.bit_length() // 8), "little"), width // 8
@@ -214,28 +218,29 @@ def _nonnegative(coeffs: list) -> Series:
     """The series of coeffs, or ConsistencyError at a negative F_n."""
     for n, value in enumerate(coeffs):
         if value < 0:
-            raise ConsistencyError(f"Molien coefficient at degree {n} came out negative ({value})")
+            raise ConsistencyError(
+                f"Molien coefficient at degree {n} came out negative ({value})"
+            )
     return Series(coeffs)
 
 
 def _joint_series(problem: CensusProblem, max_degree: int) -> Series:
     """F_0 .. F_max_degree by the joint product over the N1^2·N2^2 weights."""
     n1, n2 = problem.n1, problem.n2
-    off = _offset(problem, max_degree)
-    base = 2 * off + 1
-    split = base ** (n1 - 1)
+    layout = off, width, lows, _, _, reach = _layout(problem, max_degree)
+    base, split = 2 * off + 1, (2 * off + 1) ** (n1 - 1)
     steps_a, steps_b = _block_steps(n1, base), _block_steps(n2, base)
-    origin_a, origin_b = _packed([off] * (n1 - 1), base), _packed([off] * (n2 - 1), base)
     delta_a, delta_b = _weyl_factor(n1, off, base), _weyl_factor(n2, off, base)
     weyl = [(a + b * split, ca * cb) for a, ca in delta_a.items() for b, cb in delta_b.items()]
     joint = [a + b * split for a in steps_a for b in steps_b]
+    # Ascending, the steps that raise the top digit come last, so the levels
+    # stay short longer: 21-33% faster on 2x3 and 1x5 than the weights' order.
     steps = sorted(filter(None, joint))
-    width = _digit_width(len(steps), max_degree)
-    windows = enumerate(_windows(problem, max_degree))
-    masks = [_mask(w, off, width) if min(w, default=k) < k else None for k, w in windows]
-    levels = _product_levels(origin_a + origin_b * split, steps, masks, width)
-    _check_levels(levels, masks, len(steps), base ** (n1 + n2 - 2), width)
-    coeffs = [_haar_average(level, weyl, width, problem) for level in levels]
+    mask = _mask(n1 + n2 - 3, off, width, reach)
+    levels = _product_levels(_packed([off] * (n1 + n2 - 2), base), steps, layout, mask)
+    _check_levels(levels, layout, mask, len(steps))
+    coeffs = [_haar_average(level, [(e - low, c) for e, c in weyl if e >= low], width, problem)
+              for level, low in zip(levels, lows)]
     for _ in range(len(joint) - len(steps)):
         coeffs = list(accumulate(coeffs))
     # g_n may be negative (1x2 has g = 1/(1 + t)); F_n may not
@@ -350,18 +355,14 @@ def _block_cost(problem: CensusProblem, max_degree: int) -> int:
 
 
 def _joint_estimate(problem: CensusProblem, max_degree: int) -> tuple:
-    """(predicted work, bytes) of _joint_series, by the module docstring: level
-    k >= 1 spans the words up to its box's top key, and its mask as many where
-    one binds.  All stay live, and peak RSS grew by up to 1.7 times them."""
-    n1, n2, windows = problem.n1, problem.n2, _windows(problem, max_degree)
-    off, nsteps = _offset(problem, max_degree), n1 * n1 * n2 * n2 - n1 * n2
-    width, work, held = _digit_width(nsteps, max_degree), 0, 0
-    for k, window in enumerate(windows[1:], 1):
-        words = (_packed([off + half for half in window], 2 * off + 1) + 1) * width // 64 + 1
-        mask = words if min(window, default=k) < k else 0
-        work, held = work + 2 * words + mask, held + words + mask
-    reads = (max_degree + 1) * prod(2 * half + 1 for half in windows[-1])
-    return nsteps * (work // WORDS_PER_KEY + PASS_KEYS * max_degree) + READ_KEYS * reads, 16 * held
+    """(predicted work, bytes) of _joint_series, by the module docstring.  The
+    levels and the mask stay live, and peak RSS grew by up to 1.7 times them."""
+    _, width, _, spans, cuts, reach = _layout(problem, max_degree)
+    nsteps, held = problem.n1**2 * problem.n2**2 - problem.n1 * problem.n2, reach + sum(spans[1:])
+    work = sum((2 if cut is None else 4) * keys for keys, cut in zip(spans[1:], cuts[1:]))
+    reads = (max_degree + 1) * prod(2 * half + 1 for half in _windows(problem, max_degree)[-1])
+    words = nsteps * (work * width // 64 // WORDS_PER_KEY + PASS_KEYS * max_degree)
+    return words + READ_KEYS * reads, 2 * held * width // 8
 
 
 def _engine(problem: CensusProblem, max_degree: int):
@@ -370,15 +371,16 @@ def _engine(problem: CensusProblem, max_degree: int):
     rows = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
     block_fits = 100 * sum(comb(max_degree + n, n) for n in rows) <= MAX_ENGINE_BYTES
     if max(problem.n1, problem.n2) <= max_degree:  # only the block engine caps the rows
-        work, held = _joint_estimate(problem, max_degree)
-        cheaper = block_fits and _block_cost(problem, max_degree) < work
-        if held <= MAX_ENGINE_BYTES and not cheaper:
+        (work, held), block = _joint_estimate(problem, max_degree), _block_cost(problem, max_degree)
+        lean = held * work <= BYTES_PER_SPEEDUP * block  # its speedup pays for its memory
+        if held <= MAX_ENGINE_BYTES and not (block_fits and (block < work or not lean)):
             return _joint_series
+        block_fits = block_fits and (held <= MAX_ENGINE_BYTES or block <= SLOWER_BLOCK * work)
     if block_fits:
         return _block_series
     raise ResourceLimitError(
-        f"{problem.n1}x{problem.n2} to degree {max_degree} fits no Molien engine"
-        f" in {MAX_ENGINE_BYTES} bytes"
+        f"{problem.n1}x{problem.n2} to degree {max_degree} fits no Molien engine: past"
+        f" {MAX_ENGINE_BYTES} bytes, or {SLOWER_BLOCK} times the joint product's time"
     )
 
 

@@ -50,10 +50,12 @@ runs one child per row of RULE_ROWS.  The child times each engine in-process,
 best of k, clearing every memo before each run, and names the engine the
 rule picks.  It skips an engine whose memory estimate passes the rule's
 bound, or whose predicted work is SKIP_RATIO times the other's; a skipped
-engine counts as the slower one.  The run appends one record, as --record
-does, whose "rule_rows" hold per row the system, the degree, block_s,
-joint_s, the rule's pick and the faster engine, and it prints one line per
-row where the rule picks the slower engine.
+engine counts as the slower one, and so does a joint product that is not
+lean, holding more than the rule's BYTES_PER_SPEEDUP per times it is
+predicted faster.  The run appends one record, as --record does, whose
+"rule_rows" hold per row the system, the degree, block_s, joint_s, lean,
+the rule's pick and the faster engine, and it prints one line per row where
+the rule picks the slower engine.
 """
 
 import argparse
@@ -132,8 +134,8 @@ class Route:
 # 1x2 runs it with an a-block of no digit, so a joint key is its b-key.  The
 # rows past 5x5 have blocks with more rows than the degree, which the block
 # engine runs at min(N, D) rows and whose shapes get at most l(kappa)! terms.
-# Of the CI rows, 2x3 to 40 runs the joint product with packed levels (its
-# levels and masks take 35 MiB), and 1x5 to 16 now does too (25 MiB).
+# Of the CI rows, 2x3 to 40 runs the joint product with packed levels, which
+# no earlier engine reached in CI time.
 ROUTES = (
     Route(1, 1, 12, closed_form=one_by(1)),
     Route(1, 2, 12, closed_form=one_by(2)),
@@ -157,14 +159,14 @@ ROUTES = (
     Route(12, 12, 6),
     Route(2, 2, 40, CI, TWO_BY_TWO, rss_mb=30),
     Route(2, 3, 24, CI, rss_mb=40),
-    Route(2, 3, 40, CI, rss_mb=100),
+    Route(2, 3, 40, CI, rss_mb=60),
     Route(3, 3, 12, CI, rss_mb=40),
     Route(4, 5, 3, CI, rss_mb=40),
     Route(5, 5, 3, CI, rss_mb=60),
     Route(4, 4, 12, CI, rss_mb=40),
     Route(5, 5, 8, CI, rss_mb=40),
     Route(2, 5, 16, CI, rss_mb=40),
-    Route(1, 5, 16, CI, closed_form=one_by(5), rss_mb=70),
+    Route(1, 5, 16, CI, closed_form=one_by(5), rss_mb=40),
     Route(8, 8, 8, CI, rss_mb=40),
     Route(9, 9, 9, CI, rss_mb=40),
     Route(12, 12, 6, CI, rss_mb=40),
@@ -172,16 +174,17 @@ ROUTES = (
 
 
 # The engine rule's rows: a system N1 x N2, a degree and the engine that ran
-# faster there (BENCH_0.33.0.json, `--rule-times` with --repeat 3).  2x4/30
-# is the block engine's because the joint product's memory estimate passes
-# the rule's bound there.  tests/test_molien.py checks the rule's pick on each.
+# faster there (BENCH_0.33.0.json, `--rule-times` with --repeat 3), counting
+# a joint product that is not lean or past the memory bound as the slower:
+# 1x5/16, 1x5/17 and 2x4/30 are the block engine's so.  tests/test_molien.py
+# checks the rule's pick on each.
 RULE_ROWS = (
-    (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "joint"),
+    (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "block"),
     (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "joint"),
     (2, 3, 16, "joint"), (2, 3, 20, "joint"), (2, 3, 24, "joint"), (2, 4, 16, "block"),
     (2, 5, 12, "block"), (3, 3, 10, "block"), (3, 4, 8, "block"), (4, 4, 8, "block"),
     (2, 2, 40, "joint"), (2, 2, 90, "joint"), (1, 4, 24, "joint"), (1, 4, 10, "joint"),
-    (1, 5, 17, "joint"), (2, 4, 30, "block"), (2, 2, 8, "joint"), (2, 2, 12, "joint"),
+    (1, 5, 17, "block"), (2, 4, 30, "block"), (2, 2, 8, "joint"), (2, 2, 12, "joint"),
     (2, 2, 15, "joint"), (1, 3, 5, "joint"), (1, 4, 11, "joint"), (2, 3, 21, "joint"),
 )
 SKIP_RATIO = 1000
@@ -196,6 +199,7 @@ problem = CensusProblem(n1, n2)
 work, held = molien._joint_estimate(problem, degree)
 block = molien._block_cost(problem, degree)
 times = {"rule": molien._engine(problem, degree).__name__.split("_")[1]}
+times["lean"] = held * work <= molien.BYTES_PER_SPEEDUP * block
 for name, engine, runs in (
     ("block", molien._block_series, block < skip * work or held > molien.MAX_ENGINE_BYTES),
     ("joint", molien._joint_series, work < skip * block and held <= molien.MAX_ENGINE_BYTES),
@@ -227,12 +231,13 @@ def time_engines(row: tuple, repeat: int) -> dict:
 
 def rule_record(row: tuple, times: dict) -> dict:
     """One rule row of a record: its timings, the rule's pick and the faster
-    engine, a skipped engine (None) counting as the slower."""
+    engine, a skipped engine (None) counting as the slower, and so does a
+    joint product that holds more memory than its speedup allows (not lean)."""
     n1, n2, degree, _ = row
-    block, joint = times["block_s"], times["joint_s"]
-    faster = "block" if joint is None or (block is not None and block < joint) else "joint"
+    block, joint, lean = times["block_s"], times["joint_s"], times["lean"]
+    slower = joint is None or not lean or (block is not None and block < joint)
     return {"system": f"{n1}x{n2}", "max_degree": degree, "block_s": block, "joint_s": joint,
-            "rule": times["rule"], "faster": faster}
+            "lean": lean, "rule": times["rule"], "faster": "block" if slower else "joint"}
 
 
 @dataclass(frozen=True)

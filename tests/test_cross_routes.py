@@ -158,14 +158,18 @@ def test_record_run_from_canned_children(tmp_path, monkeypatch, capsys):
 def test_rule_times_from_canned_children(tmp_path, monkeypatch, capsys):
     # no child process: every rule row gets canned timings, in which the first
     # row's block engine runs faster than the joint product the rule picks,
-    # one block row skips the joint product, and git is not found
+    # one block row skips the joint product, another's faster joint product
+    # is not lean, and git is not found
     def canned_times(row, repeat):
         assert repeat == 3
         if row == RULE_ROWS[0]:
-            return {"rule": "joint", "block_s": 0.1, "joint_s": 0.2}
+            return {"rule": "joint", "block_s": 0.1, "joint_s": 0.2, "lean": True}
         if row == (2, 4, 30, "block"):
-            return {"rule": "block", "block_s": 40.0, "joint_s": None}
-        return {"rule": row[3], "block_s": 0.3 if row[3] == "joint" else 0.1, "joint_s": 0.2}
+            return {"rule": "block", "block_s": 40.0, "joint_s": None, "lean": False}
+        if row == (1, 5, 16, "block"):
+            return {"rule": "block", "block_s": 0.3, "joint_s": 0.14, "lean": False}
+        block_s = 0.3 if row[3] == "joint" else 0.1
+        return {"rule": row[3], "block_s": block_s, "joint_s": 0.2, "lean": True}
 
     def no_git(*args, **kwargs):
         raise OSError("no git")
@@ -186,8 +190,9 @@ def test_rule_times_from_canned_children(tmp_path, monkeypatch, capsys):
         (f"{n1}x{n2}", degree) for n1, n2, degree, _ in RULE_ROWS
     ]
     for row, (_, _, _, engine) in zip(rows, RULE_ROWS):
-        assert list(row) == ["system", "max_degree", "block_s", "joint_s", "rule", "faster"]
+        assert list(row) == ["system", "max_degree", "block_s", "joint_s", "lean", "rule", "faster"]
         assert row["faster"] == ("block" if row is rows[0] else engine)
     assert rows[RULE_ROWS.index((2, 4, 30, "block"))]["joint_s"] is None
+    assert rows[RULE_ROWS.index((1, 5, 16, "block"))]["joint_s"] == 0.14
     out = capsys.readouterr().out.splitlines()
     assert out == ["wrong pick 1x3/12: the rule runs joint, block 0.1 s, joint 0.2 s"]

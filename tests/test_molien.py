@@ -44,16 +44,14 @@ def weight_steps(problem, base):
 
 
 def layout(problem, n, pruned):
-    """(offset, W, level masks) of the joint product to degree n: the engine's
-    own when pruned, else an offset past every digit to degree n and no mask,
-    which drops no key."""
-    off = molien._offset(problem, n) if pruned else n + 1
-    width = molien._digit_width(len(weight_steps(problem, 2 * off + 1)[0]), n)
-    if not pruned:
-        return off, width, [None] * (n + 1)
-    windows = enumerate(molien._windows(problem, n))
-    masks = [molien._mask(w, off, width) if min(w, default=k) < k else None for k, w in windows]
-    return off, width, masks
+    """The joint product's layout to degree n, (off, W, lows, spans, cuts,
+    reach): the engine's own when pruned, else an offset past every digit to
+    degree n, the whole box at every level and no mask, which drops no key."""
+    if pruned:
+        return molien._layout(problem, n)
+    off, width = n + 1, molien._layout(problem, n)[1]  # W depends on the steps and n alone
+    box = (2 * off + 1) ** ndigits(problem)
+    return off, width, [0] * (n + 1), [box] * (n + 1), [None] * (n + 1), 0
 
 
 def digits_of(level, width):
@@ -65,20 +63,22 @@ def digits_of(level, width):
 
 def packed_levels(problem, n, pruned=False):
     """Checked packed levels h'_0 .. h'_n of the nonzero weights, the number of
-    zero weights, the key offset and W; pruned as the engine prunes them, or
-    whole."""
-    off, width, masks = layout(problem, n, pruned)
-    base = 2 * off + 1
-    steps, zeros = weight_steps(problem, base)
-    levels = molien._product_levels(origin_key(problem, off), steps, masks, width)
-    molien._check_levels(levels, masks, len(steps), base ** ndigits(problem), width)
-    return levels, zeros, off, width
+    zero weights and the layout; pruned as the engine prunes them, or whole."""
+    plan = off, width, _, _, _, reach = layout(problem, n, pruned)
+    steps, zeros = weight_steps(problem, 2 * off + 1)
+    mask = molien._mask(ndigits(problem) - 1, off, width, reach)
+    levels = molien._product_levels(origin_key(problem, off), steps, plan, mask)
+    molien._check_levels(levels, plan, mask, len(steps))
+    return levels, zeros, plan
 
 
 def complete_homogeneous_levels(problem, n, pruned=False):
-    """packed_levels with each level as {key: coefficient}, less W."""
-    levels, zeros, off, width = packed_levels(problem, n, pruned)
-    return [digits_of(level, width) for level in levels], zeros, off
+    """packed_levels with each level as {key: coefficient}, and the offset."""
+    levels, zeros, (off, width, lows, *_) = packed_levels(problem, n, pruned)
+    return [
+        {low + key: c for key, c in digits_of(level, width).items()}
+        for level, low in zip(levels, lows)
+    ], zeros, off
 
 
 def zero_weight_scalar(zeros, n):
@@ -162,7 +162,7 @@ def test_power_sum_total_eigenvalue_count(problem, m):
     zero = (0,) * ndigits(problem)
     assert sum(p.values()) == problem.n1**2 * problem.n2**2
     assert p[zero] == problem.n1 * problem.n2
-    steps, zeros = weight_steps(problem, 2 * molien._offset(problem, m) + 1)
+    steps, zeros = weight_steps(problem, 2 * molien._layout(problem, m)[0] + 1)
     assert zeros == problem.n1 * problem.n2
     assert len(steps) + zeros == problem.n1**2 * problem.n2**2
 
@@ -221,7 +221,7 @@ def test_complete_homogeneous_counts_multisets(problem):
     "problem", [CensusProblem(1, 1), CensusProblem(2, 1), CensusProblem(2, 2), CensusProblem(3, 1)]
 )
 def test_haar_normalization(problem):
-    off = molien._offset(problem, 0)
+    off = molien._layout(problem, 0)[0]
     assert haar_average(problem, {origin_key(problem, off): 1}, off) == 1
 
 
@@ -236,14 +236,14 @@ def test_haar_negative_value_surfaced():
     # z + 1/z with z = a1/a2 is not a character; its Haar average is exactly -1
     # (at degree 1, whose layout holds the keys z and 1/z)
     problem = CensusProblem(2, 1)
-    off = molien._offset(problem, 1)
+    off = molien._layout(problem, 1)[0]
     center = origin_key(problem, off)
     assert haar_average(problem, {center + 1: 1, center - 1: 1}, off) == -1
 
 
 def test_haar_inexact_division_rejected():
     problem = CensusProblem(2, 1)
-    off = molien._offset(problem, 1)
+    off = molien._layout(problem, 1)[0]
     with pytest.raises(ConsistencyError, match="Haar average for 2x1 is -1/2, not an integer"):
         haar_average(problem, {origin_key(problem, off) + 1: 1}, off)
 
@@ -275,7 +275,7 @@ def test_negative_molien_coefficient_rejected(monkeypatch):
 @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 3), (3, 1), (2, 3)])
 def test_pack_unpack_round_trip_over_the_box(n1, n2):
     problem = CensusProblem(n1, n2)
-    off = molien._offset(problem, 2)
+    off = molien._layout(problem, 2)[0]
     base, ndigits = 2 * off + 1, n1 + n2 - 2
     keys = []
     for coords in product(range(-off, off + 1), repeat=ndigits):
@@ -307,12 +307,14 @@ def test_carrying_weight_rejected_before_packing(monkeypatch):
 
 
 def corrupt_level(monkeypatch, k, stray):
-    """Make _product_levels add one to level k's digit at the key stray(origin)."""
+    """Make _product_levels add one to level k's digit at the key
+    stray(origin, low), low the level's least key."""
     product_levels = molien._product_levels
 
-    def corrupted(origin, steps, masks, width):
-        levels = product_levels(origin, steps, masks, width)
-        levels[k] += 1 << stray(origin) * width
+    def corrupted(origin, steps, layout, mask):
+        levels = product_levels(origin, steps, layout, mask)
+        _, width, lows, *_ = layout
+        levels[k] += 1 << (stray(origin, lows[k]) - lows[k]) * width
         return levels
 
     monkeypatch.setattr(molien, "_product_levels", corrupted)
@@ -321,58 +323,67 @@ def corrupt_level(monkeypatch, k, stray):
 @pytest.mark.parametrize("shift", ["above the box", "below the box", "digit past n"])
 def test_finished_level_with_key_past_bound_rejected(monkeypatch, shift):
     # the weights are untouched, so only the checks on finished levels can fire:
-    # a key one box width up fails the box's bit length, and a key at the box's
-    # low corner or with a digit past the level changes h'_1's digit sum.  2x1
-    # has one digit, so the origin key is the offset and the base 2·origin + 1.
+    # a key one box width up fails the level's bit length, and a key at the
+    # level's low corner changes h'_1's digit sum.  A digit past the level
+    # fails the bit length of the engine's level, which spans only the keys
+    # within reach, and the digit sum of the whole box.  2x1 has one digit,
+    # so the origin key is the offset and the base 2·origin + 1.
     strays = {
-        "above the box": lambda origin: 2 * origin + 1,
-        "below the box": lambda origin: 0,
-        "digit past n": lambda origin: origin + 2,
+        "above the box": lambda origin, low: 2 * origin + 1,
+        "below the box": lambda origin, low: low,
+        "digit past n": lambda origin, low: origin + 2,
     }
     corrupt_level(monkeypatch, 1, strays[shift])
-    match = "outside its box" if shift == "above the box" else "digit sum .*, not its 2 monomials"
-    with pytest.raises(ConsistencyError, match=match):
+    box, count = "outside its box", "digit sum .*, not its 2 monomials"
+    engine = box if shift != "below the box" else count
+    with pytest.raises(ConsistencyError, match=engine):
         molien._joint_series(CensusProblem(2, 1), 2)
-    with pytest.raises(ConsistencyError, match=match):
+    with pytest.raises(ConsistencyError, match=box if shift == "above the box" else count):
         complete_homogeneous_levels(CensusProblem(2, 1), 2)
 
 
 def test_narrow_digit_width_rejected(monkeypatch):
     # a W one byte narrower than C(D + s - 1, s - 1) needs: on 2x2 to 16 the
     # unmasked h'_8 holds C(19, 11) = 75582 monomials, past 2^16 - 1
-    width = molien._digit_width
-    assert width(12, 16) == 24
-    monkeypatch.setattr(molien, "_digit_width", lambda nsteps, degree: width(nsteps, degree) - 8)
+    layout = molien._layout
+
+    def narrow(problem, max_degree):
+        off, width, *rest = layout(problem, max_degree)
+        return off, width - 8, *rest
+
+    assert layout(CensusProblem(2, 2), 16)[1] == 24
+    monkeypatch.setattr(molien, "_layout", narrow)
     with pytest.raises(ConsistencyError, match="h'_8 has digit sum .*, not its 75582 monomials"):
         molien._joint_series(CensusProblem(2, 2), 16)
 
 
 def test_stray_digit_outside_its_window_rejected(monkeypatch):
-    # 2x3 to 11 masks levels 7 .. 11; the origin's top digit plus 6 lies inside
-    # the box but outside level 11's window, which the product never fills,
-    # and only the mask check sees it
+    # 2x3 to 11 masks levels 7 .. 11; the origin with its lowest digit at 0
+    # lies inside level 11's span but outside the mask, which the product
+    # never fills, and only the mask check sees it
     problem, n = CensusProblem(2, 3), 11
-    base = 2 * molien._offset(problem, n) + 1
-    masked = [min(w) < k for k, w in enumerate(molien._windows(problem, n))]
+    masked = [cut is not None for cut in molien._layout(problem, n)[4]]
     assert masked == [False] * 7 + [True] * 5
-    corrupt_level(monkeypatch, n, lambda origin: origin + 6 * base**2)
+    corrupt_level(monkeypatch, n, lambda origin, low: origin - molien._layout(problem, n)[0])
     with pytest.raises(ConsistencyError, match="h'_11 has a key outside its box"):
         molien._joint_series(problem, n)
 
 
 def test_level_past_its_bit_length_rejected(monkeypatch):
-    # a digit at key base^3, one past the box, on the unmasked h'_1 of 2x3 to 11
+    # a digit at key base^3, one past the box, on the unmasked h'_1 of 2x3 to
+    # 11, which spans the 3 slabs of base^2 keys whose top digit is off +- 1
     problem, n = CensusProblem(2, 3), 11
-    base = 2 * molien._offset(problem, n) + 1
-    corrupt_level(monkeypatch, 1, lambda origin: base**3)
-    match = f"h'_1 has a key outside its box, in {base**3} keys"
+    base = 2 * molien._layout(problem, n)[0] + 1
+    assert molien._layout(problem, n)[3][1] == 3 * base**2
+    corrupt_level(monkeypatch, 1, lambda origin, low: base**3)
+    match = f"h'_1 has a key outside its box, in {3 * base**2} keys"
     with pytest.raises(ConsistencyError, match=match):
         molien._joint_series(problem, n)
 
 
 def unpruned_series(problem, n):
     """F_0 .. F_n from the whole-box product, which drops no key."""
-    levels, zeros, off, width = packed_levels(problem, n)
+    levels, zeros, (off, width, *_) = packed_levels(problem, n)
     weyl = weyl_pairs(problem, off)
     averages = [molien._haar_average(level, weyl, width, problem) for level in levels]
     scalar = zero_weight_scalar(zeros, n)
@@ -388,8 +399,11 @@ def test_pruned_series_equals_the_whole_box_product(n1, n2, n):
 
 
 def test_pruned_levels_are_the_full_levels_within_reach():
-    # a level-k key is kept iff each root coordinate c_i lies within n - k of
-    # the Weyl factor's range [-h_i, h_i], h_i = j(N - j) for digit j of U(N)
+    # a level-k key whose root coordinates c_i each lie within n - k of the
+    # Weyl factor's range [-h_i, h_i], h_i = j(N - j) for digit j of U(N),
+    # keeps its whole coefficient.  Pruning only drops terms, the top digit
+    # stays within reach, and where the mask cuts, each lower digit within
+    # off - 1.
     problem, n = CensusProblem(2, 3), 8
     reach = molien._windows(problem, n)[n]
     spans = []
@@ -400,25 +414,32 @@ def test_pruned_levels_are_the_full_levels_within_reach():
     assert reach == spans == [1, 2, 2]
     pruned, _, off = complete_homogeneous_levels(problem, n, pruned=True)
     full, _, full_off = complete_homogeneous_levels(problem, n)
+    cuts = molien._layout(problem, n)[4]
     for k, (kept, level) in enumerate(zip(pruned, full)):
         coords = {unpacked(key, full_off, 3): c for key, c in level.items()}
-        within = {
-            v: c
-            for v, c in coords.items()
-            if all(abs(c_i) <= h + n - k for c_i, h in zip(v, reach))
-        }
-        assert {unpacked(key, off, 3): c for key, c in kept.items()} == within
+        kept = {unpacked(key, off, 3): c for key, c in kept.items()}
+        within = [v for v in coords if all(abs(c_i) <= h + n - k for c_i, h in zip(v, reach))]
+        assert {v: kept.get(v) for v in within} == {v: coords[v] for v in within}
+        assert all(0 < c <= coords[v] for v, c in kept.items())
+        assert all(abs(v[-1]) <= min(k, reach[-1] + n - k) for v in kept)
+        assert cuts[k] is None or all(abs(c_i) < off for v in kept for c_i in v[:-1])
     assert len(pruned[n]) < len(full[n])
 
 
 @pytest.mark.parametrize("problem", [CensusProblem(2, 2), CensusProblem(2, 3)])
 def test_pruned_levels_inversion_symmetric(problem):
-    # the Weyl factor's range is symmetric about the origin, so the kept keys are too
+    # the Weyl factor's range is symmetric about the origin, so the keys within
+    # reach of it are too; a key out of reach may keep part of its terms
     n = 10
     levels, _, off = complete_homogeneous_levels(problem, n, pruned=True)
     center = origin_key(problem, off)
-    for level in levels:
-        assert {2 * center - key: c for key, c in level.items()} == level
+    for level, window in zip(levels, molien._windows(problem, n)):
+        within = {
+            key: c
+            for key, c in level.items()
+            if all(abs(c_i) <= h for c_i, h in zip(unpacked(key, off, ndigits(problem)), window))
+        }
+        assert {2 * center - key: c for key, c in within.items()} == within
 
 
 def joint_weyl_factor(problem, off):
@@ -442,7 +463,7 @@ def test_haar_sum_equals_the_joint_expansion(n1, n2):
     # the sum over pairs of block keys reads the constant term against the
     # joint Weyl factor at every level
     problem, n = CensusProblem(n1, n2), 6
-    levels, _, off, width = packed_levels(problem, n)
+    levels, _, (off, width, *_) = packed_levels(problem, n)
     joint = joint_weyl_factor(problem, off)
     order = factorial(n1) * factorial(n2)
     for level in levels:
@@ -637,11 +658,12 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
 
 # Each row's engine is the one that ran faster in BENCH_0.33.0.json
 # (`python tests/cross_routes.py --rule-times`, in-process, best of 3, cold
-# memos).  The packed joint product moved 2x3/11-20, 1x4/10 and 1x5/16-17 to
-# it (block / joint: 2x3/11 4.0 / 1.65 ms, 2x3/16 26 / 6.3 ms, 2x3/20 107 /
-# 15 ms, 1x4/10 5.1 / 1.8 ms, 1x5/16 296 / 201 ms, 1x5/17 455 / 244 ms);
-# 2x4/30 stays on the block engine (17.4 s) because the joint product's
-# memory estimate passes MAX_ENGINE_BYTES there.
+# memos).  The packed joint product moved 2x3/11-20 and 1x4/10 to it (block
+# / joint: 2x3/11 4.1 / 1.5 ms, 2x3/16 27 / 5.1 ms, 2x3/20 108 / 12 ms,
+# 1x4/10 5.0 / 1.9 ms).  A joint product that is not lean counts as the
+# slower: 1x5/16 and 1x5/17 stay on the block engine (291 / 159 ms and
+# 459 / 200 ms), whose peak memory is under half the joint product's, and
+# so does 2x4/30 (17 s), where the joint estimate passes MAX_ENGINE_BYTES.
 @pytest.mark.parametrize("n1, n2, max_degree, engine", RULE_ROWS)
 def test_rule_picks_the_measured_engine(n1, n2, max_degree, engine):
     assert molien._engine(CensusProblem(n1, n2), max_degree) is getattr(molien, f"_{engine}_series")
@@ -672,6 +694,20 @@ def test_a_system_neither_engine_fits_is_refused():
     assert molien._joint_estimate(problem, 3000)[1] > molien.MAX_ENGINE_BYTES
     with pytest.raises(ResourceLimitError, match="2x2 to degree 3000 fits no Molien engine"):
         molien_series(problem, 3000, 3000)
+
+
+def test_past_the_joint_bound_a_much_slower_block_engine_is_refused():
+    # 2x3 runs the joint product through degree 65; at 66 its memory estimate
+    # passes MAX_ENGINE_BYTES and the block engine's estimate is over a
+    # thousand times the joint product's, hours of work, so the rule refuses
+    problem = CensusProblem(2, 3)
+    assert molien._engine(problem, 56) is molien._joint_series
+    assert molien._engine(problem, 65) is molien._joint_series
+    work, held = molien._joint_estimate(problem, 66)
+    assert held > molien.MAX_ENGINE_BYTES
+    assert molien._block_cost(problem, 66) > 1000 * work
+    with pytest.raises(ResourceLimitError, match="2x3 to degree 66 fits no Molien engine"):
+        molien._engine(problem, 66)
 
 
 def test_a_million_row_block_costs_its_degree():
