@@ -8,7 +8,8 @@ extraction against the torus measure.  This recomputes the census counts by
 a route that shares no character, strip or Kronecker code with the
 character-theoretic one: only CensusProblem, the degree limit and its check,
 partitions_of and errors.exact_quotient.  Two engines compute the same
-series, and molien_series runs the one with the smaller predicted cost.
+series, and molien_series runs the one the rule at the end of this docstring
+picks.
 
 The joint product works in root coordinates: each U(N) block has N - 1
 variables z_i = x_i/x_{i+1}, and every root x_i/x_j has z-exponents in
@@ -60,31 +61,26 @@ stays {0: 1}, and I_N(rho) = z_rho once N >= |rho| (Diaconis and
 Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
 
 A block wider than the degree goes to the block engine, capped at the
-degree, with no estimate.  Otherwise the rule compares estimates in block
-engine key passes, S_k the keys of level k and M_k = 2 if it takes the mask:
-
-    block ~ sum_{m<=D} p(m)·(CLASS_KEYS + sum_{N in {N1, N2}} N·C(m+N-1, N-1)),
-    joint ~ s·sum_{k=1..D} ((2 + M_k)·S_k·W/64/WORDS_PER_KEY + PASS_KEYS)
-            + READ_KEYS·(D + 1)·prod_{blocks, j<N} (2·min(D, j(N - j)) + 1),
-
-the last term the Haar reads, p(m) from a recurrence.  It runs the cheaper
-engine whose memory estimate fits MAX_ENGINE_BYTES, the joint product only
-if it holds at most BYTES_PER_SPEEDUP per times it is faster (lean), and
-past its bound the block engine only within SLOWER_BLOCK times its estimate.
+degree.  Otherwise the joint product runs when its key has at most
+JOINT_DIGITS digits, N1 + N2 - 2 <= 3 (1x1 to 2x3, and 1x4): each digit
+past that multiplies a level's slabs by the base, and on 1x5 it ran about
+twice as fast as the block engine at three times its peak memory.  An engine
+runs only if its memory estimate fits MAX_ENGINE_BYTES, and the block engine
+only within MAX_BLOCK_PASSES passes over the keys of p_rho, N·C(m+N-1, N-1)
+per class of S_m and block of N rows; an input that fits neither is refused.
 """
 
 from itertools import accumulate, repeat
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, _require_degree
 from .errors import ConsistencyError, ResourceLimitError, exact_quotient
 from .partitions import partitions_of
 from .series import Series
 
-# The rule's costs, in block-engine key passes, fitted to both engines' timings (0.33.0)
-WORDS_PER_KEY, PASS_KEYS, READ_KEYS, CLASS_KEYS = 20, 10, 7, 400
+JOINT_DIGITS = 3  # the joint product's most key digits, N1 + N2 - 2
 MAX_ENGINE_BYTES = 1 << 28  # neither engine runs past this memory estimate
-SLOWER_BLOCK, BYTES_PER_SPEEDUP = 10, 8 << 20  # see the rule, at the end of the docstring
+MAX_BLOCK_PASSES = 10**10  # _block_cost ran at 1.5-4.2·10^7 passes/s: 4-11 minutes (2-core Xeon)
 
 
 def _block_roots(size: int) -> list:
@@ -343,44 +339,37 @@ def _partition_counts(top: int) -> list:
 
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
-    """Predicted work of _block_series: per class of S_m and block, the passes
-    _times_power_sum makes over p_rho's C(m+N-1, N-1) keys, one copy and
-    N - 1 shifts, and CLASS_KEYS for the class's integrals.  molien_series
-    asks only when no block is wider than the degree, so N needs no cap here."""
-    classes, sizes = _partition_counts(max_degree), {problem.n1, problem.n2}
+    """Predicted work of _block_series: per class of S_m and block of N rows,
+    N capped at the degree, the passes _times_power_sum makes over p_rho's
+    C(m+N-1, N-1) keys, one copy and N - 1 shifts."""
+    classes = _partition_counts(max_degree)
+    sizes = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
     return sum(
-        classes[m] * (CLASS_KEYS + sum(n * comb(m + n - 1, n - 1) for n in sizes))
-        for m in range(max_degree + 1)
+        classes[m] * sum(n * comb(m + n - 1, n - 1) for n in sizes) for m in range(max_degree + 1)
     )
 
 
-def _joint_estimate(problem: CensusProblem, max_degree: int) -> tuple:
-    """(predicted work, bytes) of _joint_series, by the module docstring.  The
-    levels and the mask stay live, and peak RSS grew by up to 1.7 times them."""
-    _, width, _, spans, cuts, reach = _layout(problem, max_degree)
-    nsteps, held = problem.n1**2 * problem.n2**2 - problem.n1 * problem.n2, reach + sum(spans[1:])
-    work = sum((2 if cut is None else 4) * keys for keys, cut in zip(spans[1:], cuts[1:]))
-    reads = (max_degree + 1) * prod(2 * half + 1 for half in _windows(problem, max_degree)[-1])
-    words = nsteps * (work * width // 64 // WORDS_PER_KEY + PASS_KEYS * max_degree)
-    return words + READ_KEYS * reads, 2 * held * width // 8
+def _joint_bytes(problem: CensusProblem, max_degree: int) -> int:
+    """Memory estimate of _joint_series: twice its live levels and mask, since
+    peak RSS grew by up to 1.7 times them."""
+    _, width, _, spans, _, reach = _layout(problem, max_degree)
+    return 2 * (reach + sum(spans[1:])) * width // 8
 
 
 def _engine(problem: CensusProblem, max_degree: int):
     """The engine the rule picks.  A block engine's walk holds one p_rho per
     size m <= D and block of N rows, C(D + N, N) keys of about 100 bytes."""
-    rows = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
-    block_fits = 100 * sum(comb(max_degree + n, n) for n in rows) <= MAX_ENGINE_BYTES
-    if max(problem.n1, problem.n2) <= max_degree:  # only the block engine caps the rows
-        (work, held), block = _joint_estimate(problem, max_degree), _block_cost(problem, max_degree)
-        lean = held * work <= BYTES_PER_SPEEDUP * block  # its speedup pays for its memory
-        if held <= MAX_ENGINE_BYTES and not (block_fits and (block < work or not lean)):
-            return _joint_series
-        block_fits = block_fits and (held <= MAX_ENGINE_BYTES or block <= SLOWER_BLOCK * work)
-    if block_fits:
+    n1, n2 = problem.n1, problem.n2
+    joint = max(n1, n2) <= max_degree and n1 + n2 - 2 <= JOINT_DIGITS  # only the block engine caps
+    if joint and _joint_bytes(problem, max_degree) <= MAX_ENGINE_BYTES:
+        return _joint_series
+    rows = {min(n, max(max_degree, 1)) for n in (n1, n2)}
+    held = 100 * sum(comb(max_degree + n, n) for n in rows)
+    if held <= MAX_ENGINE_BYTES and _block_cost(problem, max_degree) <= MAX_BLOCK_PASSES:
         return _block_series
     raise ResourceLimitError(
-        f"{problem.n1}x{problem.n2} to degree {max_degree} fits no Molien engine: past"
-        f" {MAX_ENGINE_BYTES} bytes, or {SLOWER_BLOCK} times the joint product's time"
+        f"{n1}x{n2} to degree {max_degree} fits no Molien engine: past {MAX_ENGINE_BYTES}"
+        f" bytes, or {MAX_BLOCK_PASSES} block engine key passes"
     )
 
 

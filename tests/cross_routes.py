@@ -48,14 +48,13 @@ Time the Molien engines on the rows of the engine rule:
 
 runs one child per row of RULE_ROWS.  The child times each engine in-process,
 best of k, clearing every memo before each run, and names the engine the
-rule picks.  It skips an engine whose memory estimate passes the rule's
-bound, or whose predicted work is SKIP_RATIO times the other's; a skipped
-engine counts as the slower one, and so does a joint product that is not
-lean, holding more than the rule's BYTES_PER_SPEEDUP per times it is
-predicted faster.  The run appends one record, as --record does, whose
-"rule_rows" hold per row the system, the degree, block_s, joint_s, lean,
-the rule's pick and the faster engine, and it prints one line per row where
-the rule picks the slower engine.
+rule picks.  It skips an engine past its own bound in the rule, the joint
+product's memory estimate or the block engine's key passes; a skipped
+engine counts as the slower one, and so does a joint product whose key has
+more than the rule's JOINT_DIGITS digits, for its memory.  The run appends
+one record, as --record does, whose "rule_rows" hold per row the system,
+the degree, block_s, joint_s, the rule's pick and the faster engine, and it
+prints one line per row where the rule picks the slower engine.
 """
 
 import argparse
@@ -175,9 +174,9 @@ ROUTES = (
 
 # The engine rule's rows: a system N1 x N2, a degree and the engine that ran
 # faster there (BENCH_0.33.0.json, `--rule-times` with --repeat 3), counting
-# a joint product that is not lean or past the memory bound as the slower:
-# 1x5/16, 1x5/17 and 2x4/30 are the block engine's so.  tests/test_molien.py
-# checks the rule's pick on each.
+# a joint product past JOINT_DIGITS key digits as the slower: 1x5/16, 1x5/17
+# and 2x4/30 are the block engine's so.  tests/test_molien.py checks the
+# rule's pick on each.
 RULE_ROWS = (
     (1, 3, 12, "joint"), (1, 4, 16, "joint"), (1, 5, 12, "block"), (1, 5, 16, "block"),
     (1, 6, 12, "block"), (2, 2, 16, "joint"), (2, 2, 24, "joint"), (2, 3, 11, "joint"),
@@ -187,22 +186,20 @@ RULE_ROWS = (
     (1, 5, 17, "block"), (2, 4, 30, "block"), (2, 2, 8, "joint"), (2, 2, 12, "joint"),
     (2, 2, 15, "joint"), (1, 3, 5, "joint"), (1, 4, 11, "joint"), (2, 3, 21, "joint"),
 )
-SKIP_RATIO = 1000
 RULE_CHILD = """
 import json, sys, time
 import invcensus.molien as molien
 from invcensus import clear_caches
 from invcensus.census import CensusProblem
 
-n1, n2, degree, repeat, skip = map(int, sys.argv[1:])
+n1, n2, degree, repeat = map(int, sys.argv[1:])
 problem = CensusProblem(n1, n2)
-work, held = molien._joint_estimate(problem, degree)
-block = molien._block_cost(problem, degree)
 times = {"rule": molien._engine(problem, degree).__name__.split("_")[1]}
-times["lean"] = held * work <= molien.BYTES_PER_SPEEDUP * block
+times["joint_digits"] = molien.JOINT_DIGITS
+passes, held = molien._block_cost(problem, degree), molien._joint_bytes(problem, degree)
 for name, engine, runs in (
-    ("block", molien._block_series, block < skip * work or held > molien.MAX_ENGINE_BYTES),
-    ("joint", molien._joint_series, work < skip * block and held <= molien.MAX_ENGINE_BYTES),
+    ("block", molien._block_series, passes <= molien.MAX_BLOCK_PASSES),
+    ("joint", molien._joint_series, held <= molien.MAX_ENGINE_BYTES),
 ):
     times[name + "_s"] = None
     for _ in range(repeat if runs else 0):
@@ -224,7 +221,7 @@ def child_env() -> dict:
 def time_engines(row: tuple, repeat: int) -> dict:
     """The RULE_CHILD timings of one rule row, in a fresh child."""
     n1, n2, degree, _ = row
-    argv = [sys.executable, "-c", RULE_CHILD, *map(str, (n1, n2, degree, repeat, SKIP_RATIO))]
+    argv = [sys.executable, "-c", RULE_CHILD, *map(str, (n1, n2, degree, repeat))]
     child = subprocess.run(argv, env=child_env(), capture_output=True, text=True, check=True)
     return json.loads(child.stdout)
 
@@ -232,12 +229,12 @@ def time_engines(row: tuple, repeat: int) -> dict:
 def rule_record(row: tuple, times: dict) -> dict:
     """One rule row of a record: its timings, the rule's pick and the faster
     engine, a skipped engine (None) counting as the slower, and so does a
-    joint product that holds more memory than its speedup allows (not lean)."""
+    joint product whose key has more than JOINT_DIGITS digits, N1 + N2 - 2."""
     n1, n2, degree, _ = row
-    block, joint, lean = times["block_s"], times["joint_s"], times["lean"]
-    slower = joint is None or not lean or (block is not None and block < joint)
+    block, joint, wide = times["block_s"], times["joint_s"], n1 + n2 - 2 > times["joint_digits"]
+    slower = joint is None or wide or (block is not None and block < joint)
     return {"system": f"{n1}x{n2}", "max_degree": degree, "block_s": block, "joint_s": joint,
-            "lean": lean, "rule": times["rule"], "faster": "block" if slower else "joint"}
+            "rule": times["rule"], "faster": "block" if slower else "joint"}
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,18 @@ def test_molien_json_with_check(capsys):
     assert doc["result"]["census_agreement"] == "OK"
 
 
+def test_molien_refuses_past_the_block_engine_bound(capsys):
+    # 3x3 to 60 would hold the block engine for about half an hour; it is
+    # refused before either engine starts
+    start = time.perf_counter()
+    status, out, err = run(
+        capsys, "molien", "--n1", "3", "--n2", "3", "--max-degree", "60", "--degree-limit", "60"
+    )
+    assert time.perf_counter() - start < 1
+    assert (status, out) == (1, "")
+    assert err.startswith("error: 3x3 to degree 60 fits no Molien engine") and err.count("\n") == 1
+
+
 def test_molien_check_disagreement_exits_nonzero(capsys, monkeypatch):
     monkeypatch.setattr(
         "invcensus.cli.molien_series", lambda *args, **kwargs: Series([1, 2])

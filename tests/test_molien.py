@@ -658,12 +658,12 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
 
 # Each row's engine is the one that ran faster in BENCH_0.33.0.json
 # (`python tests/cross_routes.py --rule-times`, in-process, best of 3, cold
-# memos).  The packed joint product moved 2x3/11-20 and 1x4/10 to it (block
-# / joint: 2x3/11 4.1 / 1.5 ms, 2x3/16 27 / 5.1 ms, 2x3/20 108 / 12 ms,
-# 1x4/10 5.0 / 1.9 ms).  A joint product that is not lean counts as the
-# slower: 1x5/16 and 1x5/17 stay on the block engine (291 / 159 ms and
-# 459 / 200 ms), whose peak memory is under half the joint product's, and
-# so does 2x4/30 (17 s), where the joint estimate passes MAX_ENGINE_BYTES.
+# memos), and the rule picks it from the key's digit count alone: the joint
+# product on up to JOINT_DIGITS digits (block / joint: 2x3/11 4.1 / 1.5 ms,
+# 2x3/20 108 / 12 ms, 1x4/10 5.0 / 1.9 ms), the block engine past them.  A
+# joint product past JOINT_DIGITS digits counts as the slower: 1x5/16 and
+# 1x5/17 stay on the block engine (291 / 159 ms and 459 / 200 ms), whose
+# peak memory is under half the joint product's.
 @pytest.mark.parametrize("n1, n2, max_degree, engine", RULE_ROWS)
 def test_rule_picks_the_measured_engine(n1, n2, max_degree, engine):
     assert molien._engine(CensusProblem(n1, n2), max_degree) is getattr(molien, f"_{engine}_series")
@@ -682,7 +682,7 @@ def test_a_block_wider_than_the_degree_runs_the_block_engine(monkeypatch):
     def no_estimate(problem, max_degree):
         raise RuntimeError("the joint estimate ran")
 
-    monkeypatch.setattr(molien, "_joint_estimate", no_estimate)
+    monkeypatch.setattr(molien, "_joint_bytes", no_estimate)
     problem = CensusProblem(7, 2)
     assert molien_series(problem, 5) == generating_series(problem, 5)
 
@@ -691,23 +691,38 @@ def test_a_system_neither_engine_fits_is_refused():
     # 2x2 to 3000: the joint levels need about 3.6 GB, and the block engine's
     # p_rho 100·C(3002, 2) = 450 MB, both past MAX_ENGINE_BYTES
     problem = CensusProblem(2, 2)
-    assert molien._joint_estimate(problem, 3000)[1] > molien.MAX_ENGINE_BYTES
+    assert molien._joint_bytes(problem, 3000) > molien.MAX_ENGINE_BYTES
     with pytest.raises(ResourceLimitError, match="2x2 to degree 3000 fits no Molien engine"):
         molien_series(problem, 3000, 3000)
 
 
 def test_past_the_joint_bound_a_much_slower_block_engine_is_refused():
     # 2x3 runs the joint product through degree 65; at 66 its memory estimate
-    # passes MAX_ENGINE_BYTES and the block engine's estimate is over a
-    # thousand times the joint product's, hours of work, so the rule refuses
+    # passes MAX_ENGINE_BYTES and the block engine's passes MAX_BLOCK_PASSES,
+    # hours of work, so the rule refuses
     problem = CensusProblem(2, 3)
     assert molien._engine(problem, 56) is molien._joint_series
     assert molien._engine(problem, 65) is molien._joint_series
-    work, held = molien._joint_estimate(problem, 66)
-    assert held > molien.MAX_ENGINE_BYTES
-    assert molien._block_cost(problem, 66) > 1000 * work
+    assert molien._joint_bytes(problem, 66) > molien.MAX_ENGINE_BYTES
+    assert molien._block_cost(problem, 66) > molien.MAX_BLOCK_PASSES
     with pytest.raises(ResourceLimitError, match="2x3 to degree 66 fits no Molien engine"):
         molien._engine(problem, 66)
+
+
+# The block engine runs up to MAX_BLOCK_PASSES, whatever the joint product
+# would cost: 1x5/27 takes it under a minute, 3x3/60 about half an hour
+@pytest.mark.parametrize("n1, n2, max_degree, runs", [
+    (3, 3, 54, True), (3, 3, 55, False), (3, 3, 60, False),
+    (1, 5, 27, True), (1, 6, 26, True), (1, 6, 27, False),
+])
+def test_the_block_engine_runs_within_its_pass_bound(n1, n2, max_degree, runs):
+    problem = CensusProblem(n1, n2)
+    assert (molien._block_cost(problem, max_degree) <= molien.MAX_BLOCK_PASSES) is runs
+    if runs:
+        assert molien._engine(problem, max_degree) is molien._block_series
+    else:
+        with pytest.raises(ResourceLimitError, match=f"{n1}x{n2} to degree {max_degree} fits no"):
+            molien._engine(problem, max_degree)
 
 
 def test_a_million_row_block_costs_its_degree():
