@@ -23,12 +23,11 @@ F_m is errors.exact_quotient of its class sum by m!.  The pass holds at most
 D + 1 vectors and fills no character, Kronecker or class-size memo.
 """
 
-from dataclasses import dataclass
 from math import factorial
 from operator import mul
 
 from .characters import _beads, _walk
-from .errors import ResourceLimitError, exact_quotient, require_int
+from .errors import Frozen, ResourceLimitError, exact_quotient, require_int
 from .partitions import partitions_of
 from .series import Series
 
@@ -37,16 +36,16 @@ from .series import Series
 DEFAULT_DEGREE_LIMIT = 12
 
 
-@dataclass(frozen=True, slots=True)
-class CensusProblem:
+class CensusProblem(Frozen):
     """A bipartite system with subsystem dimensions n1 x n2."""
 
-    n1: int
-    n2: int
+    __slots__ = ("n1", "n2")
 
-    def __post_init__(self):
-        require_int("n1", self.n1, 1)
-        require_int("n2", self.n2, 1)
+    def __init__(self, n1: int, n2: int):
+        require_int("n1", n1, 1)
+        require_int("n2", n2, 1)
+        object.__setattr__(self, "n1", n1)
+        object.__setattr__(self, "n2", n2)
 
 
 def _require_degree(name: str, degree: int, degree_limit: int) -> None:

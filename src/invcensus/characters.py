@@ -8,13 +8,15 @@ a family of shapes of each size: the census keeps those with at most
 max(N1, N2) rows, and the rows of S_n are read off a walk over the shapes
 inside the irreducibles asked for (all of them for a table).  Its moves pair
 each kept shape with the kept shapes one strip smaller.  A point value removes
-the strips of rho from lambda down to the empty shape, memoized.
+the strips of the parts of rho larger than 1 from lambda, memoized, and reads
+the 1-cycles off the hook-length dimensions of the shapes that remain:
+chi_lam(rho' u 1^k) = sum over nu of k of chi^(lam/nu)(rho') f^nu.
 """
 
 from functools import cache, lru_cache
 
 from .errors import ResourceLimitError, require_int
-from .partitions import Partition, as_partition, common_weight, partitions_of
+from .partitions import Partition, as_partition, common_weight, dimension, partitions_of
 
 # Hard safety cap: tables grow like p(n)^2, and none past it is memoized.
 DEFAULT_MAX_TABLE_N = 16
@@ -24,6 +26,13 @@ def _beads(shape: tuple[int, ...], rows: int) -> int:
     """The rows-bead beta-set of a shape with at most `rows` rows, as a bit mask."""
     padded = shape + (0,) * (rows - len(shape))
     return sum(1 << (part + rows - 1 - i) for i, part in enumerate(padded))
+
+
+def _shape(beads: int, rows: int) -> Partition:
+    """The shape whose rows-bead beta-set is the mask beads (inverse of _beads)."""
+    positions = [b for b in range(beads.bit_length()) if beads >> b & 1]
+    # the i-th lowest bead sits at its row's part + i
+    return tuple(part for part in (b - i for i, b in enumerate(positions)) if part)[::-1]
 
 
 def _strip_removals(beads: int, length: int):
@@ -78,14 +87,17 @@ def _walk(shapes: list[list[int]], visit) -> None:
 
 @lru_cache(maxsize=None)
 def _character(shape: Partition, cycles: Partition) -> int:
-    values = {_beads(shape, len(shape)): 1}
+    rows = len(shape)
+    values = {_beads(shape, rows): 1}
     for length in cycles:
+        if length == 1:
+            break  # parts are nonincreasing: the rest are 1-cycles, read off below
         smaller_values = {}
         for beads, value in values.items():
             for smaller, sign in _strip_removals(beads, length):
                 smaller_values[smaller] = smaller_values.get(smaller, 0) + sign * value
         values = smaller_values
-    return sum(values.values())  # at most one entry: the empty shape
+    return sum(value * dimension(_shape(beads, rows)) for beads, value in values.items())
 
 
 def character(irrep: Partition, cycle_type: Partition) -> int:

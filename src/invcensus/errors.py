@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one integer, token and division rules."""
+"""Exception types shared across the package, the one integer, token and division
+rules, and the base of the immutable value types."""
 
 
 class InvcensusError(Exception):
@@ -54,3 +55,41 @@ def exact_quotient(total: int, divisor: int, what: str, *args) -> int:
     if remainder:
         raise ConsistencyError(f"{what.format(*args)} is {total}/{divisor}, not an integer")
     return quotient
+
+
+class Frozen:
+    """Base of the immutable value types, whose fields are their __slots__.
+
+    Each subclass sets its fields in its own __init__ with object.__setattr__.
+    An instance equals only an instance of its own class with equal fields,
+    hashes and pickles as the tuple of its fields, and raises AttributeError
+    on assignment and deletion.  These are written by hand, not as dataclasses,
+    because importing dataclasses (and with it inspect and ast) would add to
+    the start-up of every process.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._fields()

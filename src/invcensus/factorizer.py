@@ -26,10 +26,7 @@ below the next factor degree heads a subtree in which nothing survives, and
 that subtree is skipped.
 """
 
-import heapq
-from dataclasses import dataclass
-
-from .errors import ResourceLimitError, exact_quotient, require_int
+from .errors import Frozen, ResourceLimitError, exact_quotient, require_int
 from .series import Series
 
 # A rank key lists each (1+x^a) factor of the numerator, so a target whose Euler
@@ -38,20 +35,22 @@ from .series import Series
 MAX_NUMERATOR_FACTORS = 1 << 16
 
 
-@dataclass(frozen=True, slots=True)
-class RationalForm:
+def _sorted_degrees(degrees) -> tuple[int, ...]:
+    degrees = tuple(sorted(degrees))
+    for d in degrees:
+        if type(d) is not int or d < 1:  # rejects bool and float alike
+            raise ValueError(f"factor degrees must be positive integers, got {d!r}")
+    return degrees
+
+
+class RationalForm(Frozen):
     """Multisets of cyclotomic-style factor degrees, kept sorted."""
 
-    numerator_degrees: tuple[int, ...]
-    denominator_degrees: tuple[int, ...]
+    __slots__ = ("numerator_degrees", "denominator_degrees")
 
-    def __post_init__(self):
-        for name in ("numerator_degrees", "denominator_degrees"):
-            degrees = tuple(sorted(getattr(self, name)))
-            for d in degrees:
-                if type(d) is not int or d < 1:  # rejects bool and float alike
-                    raise ValueError(f"factor degrees must be positive integers, got {d!r}")
-            object.__setattr__(self, name, degrees)
+    def __init__(self, numerator_degrees, denominator_degrees):
+        object.__setattr__(self, "numerator_degrees", _sorted_degrees(numerator_degrees))
+        object.__setattr__(self, "denominator_degrees", _sorted_degrees(denominator_degrees))
 
     @property
     def free_generator_count(self) -> int:
@@ -118,8 +117,7 @@ def _euler_exponents(coeffs) -> list[int]:
     return exponents
 
 
-@dataclass(frozen=True, slots=True)
-class FitReport:
+class FitReport(Frozen):
     """How well one denominator choice explains the target series.
 
     Only what the fit finds is stored.  The numerator series a report stands
@@ -127,10 +125,19 @@ class FitReport:
     target.degree), computed again when it is needed.
     """
 
-    candidate: RationalForm
-    match_degree: int
-    first_mismatch: tuple[int, int, int] | None
-    numerator_nonnegative_through: int
+    __slots__ = ("candidate", "match_degree", "first_mismatch", "numerator_nonnegative_through")
+
+    def __init__(
+        self,
+        candidate: RationalForm,
+        match_degree: int,
+        first_mismatch: tuple[int, int, int] | None,
+        numerator_nonnegative_through: int,
+    ):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "match_degree", match_degree)
+        object.__setattr__(self, "first_mismatch", first_mismatch)
+        object.__setattr__(self, "numerator_nonnegative_through", numerator_nonnegative_through)
 
     @property
     def fully_factored(self) -> bool:
@@ -330,7 +337,7 @@ def _survivors(
         exponents = [(f >> j * v & digit) - half for j in range(min(stop, degree) + 1)]
         keys.append(_key(target, exponents, stop, prefix))
         if len(keys) == full:
-            keys = heapq.nsmallest(limit, keys)
+            keys = sorted(keys)[:limit]
             head = keys[-1][:2]
 
     def descend(prefix, p, first_negative, next_lowest, f):

@@ -28,13 +28,12 @@ coefficients are summed over the sigma within the bound.
 """
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import mul
 
 from .characters import DEFAULT_MAX_TABLE_N, _rows
-from .errors import ConsistencyError, ResourceLimitError, exact_quotient, require_int
+from .errors import ConsistencyError, Frozen, ResourceLimitError, exact_quotient, require_int
 from .partitions import Partition, as_partition, class_sizes, common_weight
 from .partitions import conjugate, partitions_of
 
@@ -43,16 +42,19 @@ from .partitions import conjugate, partitions_of
 MAX_EXPANSION_N = 24
 
 
-@dataclass(frozen=True, slots=True)
-class SchurExpansion:
+class SchurExpansion(Frozen):
     """A Kronecker product decomposed into irreducibles with multiplicities.
 
     `terms` maps each constituent partition of `weight` to its positive
     multiplicity, keyed in the canonical order of partitions_of(weight).
+    Being a dict, it leaves the expansion unhashable.
     """
 
-    weight: int
-    terms: dict[Partition, int]
+    __slots__ = ("weight", "terms")
+
+    def __init__(self, weight: int, terms: dict[Partition, int]):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "terms", terms)
 
     def __iter__(self):
         return iter(self.terms.items())

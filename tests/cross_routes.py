@@ -354,7 +354,13 @@ def _factor_rows(count: int) -> Callable:
     return expect
 
 
-SHAPE_40 = (12, 10, 8, 6, 4)
+def _char_at_identity(shape: tuple) -> Job:
+    """chi_shape(1^n) = f^shape, the hook-length count."""
+    n = sum(shape)
+    argv = ("char", ",".join(map(str, shape)), ",".join(["1"] * n))
+    return Job(f"char ({argv[1]}) at 1^{n}", argv, 30, _equals("value", dimension(shape)))
+
+
 LONG = (
     Job("census 3x3-to-28", ("census", "--n1", "3", "--n2", "3", *_degrees(28)), 30,
         _prefix_of(_check_name(Route(3, 3, 12)), 12)),
@@ -364,8 +370,8 @@ LONG = (
         _dimensions_multiply((6, 6, 6), (9, 5, 4))),
     Job("factor 2x2-to-16 cap 12", _factor(12), 30, _factor_rows(75302)),
     Job("factor 2x2-to-16 cap 14", _factor(14), 40, _factor_rows(257650)),
-    Job("char (12,10,8,6,4) at 1^40", ("char", ",".join(map(str, SHAPE_40)), ",".join(["1"] * 40)),
-        30, _equals("value", dimension(SHAPE_40))),
+    _char_at_identity((12, 10, 8, 6, 4)),
+    _char_at_identity(tuple(range(15, 0, -1))),  # the staircase with 1^120
 )
 
 JOBS = tuple(job for route in ROUTES if route.where == CI for job in _route_jobs(route)) + LONG

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 from math import factorial
 
@@ -247,3 +248,12 @@ def test_point_queries_walk_down_from_lam_past_n10():
     # the empty shape is the zero-bead mask, with nothing to remove
     assert _beads((), 0) == 0
     assert character((), ()) == 1
+
+
+def test_point_queries_read_one_cycles_off_hook_lengths():
+    # removing the 1-cycles box by box would spread the value over the
+    # Catalan-many subshapes of the staircase, for seconds
+    staircase = tuple(range(13, 0, -1))
+    start = time.perf_counter()
+    assert character(staircase, (1,) * 91) == dimension(staircase)
+    assert time.perf_counter() - start < 1

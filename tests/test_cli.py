@@ -497,12 +497,35 @@ def test_version_flag(capsys):
     assert "invcensus" in capsys.readouterr().out
 
 
+def child_env() -> dict:
+    """This environment, with this tree's src/ first on PYTHONPATH."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+
+
 def spawn(argv, stdout):
     """A whole `python -m invcensus` process on this tree, stderr piped."""
-    paths = [str(SRC), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     command = [sys.executable, "-m", "invcensus", *argv]
-    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+    return subprocess.Popen(command, stdout=stdout, stderr=subprocess.PIPE, env=child_env())
+
+
+# Imports that every process would pay for at start-up; the snapshot is taken
+# after argparse and json, so a standard library that brings these in with
+# either of them fails nothing here
+START_UP_ONLY = """
+import argparse, json, sys
+before = set(sys.modules)
+import invcensus, invcensus.cli
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_start_up_imports_no_dataclasses_inspect_or_heapq():
+    command = [sys.executable, "-c", START_UP_ONLY]
+    child = subprocess.run(command, env=child_env(), capture_output=True, text=True, check=True)
+    added = set(child.stdout.split())
+    assert "invcensus.cli" in added
+    assert added & {"dataclasses", "inspect", "heapq"} == set()
 
 
 def test_closed_pipe_is_one_error_line():

@@ -1,5 +1,8 @@
-"""The one integer-argument rule, as every public entry point states it."""
+"""The one integer-argument rule, as every public entry point states it, and
+the behaviour the value types share."""
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -7,13 +10,14 @@ import pytest
 from invcensus.census import CensusProblem, generating_series, invariant_count
 from invcensus.characters import char_table
 from invcensus.factorizer import (
+    FitReport,
     RationalForm,
     expand,
     fit_denominator,
     numerator_for_denominator,
     search_candidates,
 )
-from invcensus.kronecker import pair_weight
+from invcensus.kronecker import SchurExpansion, pair_weight
 from invcensus.molien import molien_coefficient, molien_series
 from invcensus.partitions import partitions_of
 from invcensus.series import Series
@@ -67,3 +71,80 @@ def test_integer_arguments_share_one_rule(name, call, least, bad):
     message = f"{name} must be {KINDS[least]}, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)
+
+
+# (class, fields as given, another instance's fields, repr, a bad construction
+# and its message); RationalForm sorts its degrees into tuples
+VALUE_TYPES = [
+    pytest.param(
+        CensusProblem,
+        {"n1": 2, "n2": 3},
+        (3, 2),
+        "CensusProblem(n1=2, n2=3)",
+        lambda: CensusProblem(2, 0),
+        "n2 must be a positive integer, got 0",
+        id="CensusProblem",
+    ),
+    pytest.param(
+        SchurExpansion,
+        {"weight": 3, "terms": {(3,): 1, (2, 1): 1}},
+        (3, {(3,): 1}),
+        "SchurExpansion(weight=3, terms={(3,): 1, (2, 1): 1})",
+        None,
+        None,
+        id="SchurExpansion",
+    ),
+    pytest.param(
+        RationalForm,
+        {"numerator_degrees": [3, 1], "denominator_degrees": (2,)},
+        ((1, 3), (2, 2)),
+        "RationalForm(numerator_degrees=(1, 3), denominator_degrees=(2,))",
+        lambda: RationalForm((2,), (1, True)),
+        "factor degrees must be positive integers, got True",
+        id="RationalForm",
+    ),
+    pytest.param(
+        FitReport,
+        {
+            "candidate": RationalForm((), (1,)),
+            "match_degree": 3,
+            "first_mismatch": (4, 5, 6),
+            "numerator_nonnegative_through": 3,
+        },
+        (RationalForm((), (1,)), 3, None, 3),
+        "FitReport(candidate=RationalForm(numerator_degrees=(), denominator_degrees=(1,)), "
+        "match_degree=3, first_mismatch=(4, 5, 6), numerator_nonnegative_through=3)",
+        None,
+        None,
+        id="FitReport",
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, given, other, text, bad, message", VALUE_TYPES)
+def test_value_types_are_frozen_records(cls, given, other, text, bad, message):
+    value = cls(**given)
+    fields = tuple(getattr(value, name) for name in given)
+    assert value == cls(*given.values()) and not value != cls(*given.values())
+    assert value != cls(*other) and not value == cls(*other)
+    # never equal to the plain tuple of its fields, from either side
+    assert value != fields and fields != value
+    assert repr(value) == text
+    try:
+        expected = hash(fields)
+    except TypeError:  # a dict field leaves the instance unhashable too
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(value) == expected
+    for name in given:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in given) == fields
+    for copied in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(copied) is cls and copied == value
+    if bad is not None:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bad()
