@@ -18,12 +18,7 @@ from .census import DEFAULT_DEGREE_LIMIT, CensusProblem, generating_series
 from .characters import char_table, character
 from .errors import ConsistencyError, InvcensusError, parse_int
 from .factorizer import (
-    _anchored,
-    _report,
-    _survivors,
-    compare,
-    fit_denominator,
-    numerator_for_denominator,
+    _anchored, compare, fit_denominator, numerator_for_denominator, search_candidates,
 )
 from .kronecker import inner_product_expansion
 from .molien import molien_series
@@ -188,32 +183,23 @@ def _describe_candidate(rank, report, numerator, target_degree):
 
 def _cmd_factor(args):
     target = read_series_file(args.series_file)
-    count, keys = _survivors(
-        target, args.free_generators, args.max_factor_degree, args.max_total_factors, args.limit
+    count, shown = search_candidates(
+        target, free_generators=args.free_generators, max_factor_degree=args.max_factor_degree,
+        max_total_factors=args.max_total_factors, limit=args.limit,
     )
-    shown = [_report(k, target.degree) for k in keys]
+    for report in shown:  # a one-shot fit redoes the walk's run and reads the numerator's signs
+        fit = fit_denominator(
+            target, report.candidate.denominator_degrees, max_factor_degree=args.max_factor_degree
+        )
+        if fit != report:
+            raise ConsistencyError(
+                f"the search kept denominator {report.candidate.denominator_degrees} as "
+                f"{report}; a one-shot fit gives {fit}"
+            )
     numerators = [
         numerator_for_denominator(target, r.candidate.denominator_degrees, target.degree)
         for r in shown
     ]
-    for report, numerator in zip(shown, numerators):  # each row claims nonnegativity through D
-        negative = next((n for n, c in enumerate(numerator) if c < 0), None)
-        if negative is not None:
-            raise ConsistencyError(
-                f"the search kept denominator {report.candidate.denominator_degrees}, whose "
-                f"numerator is {numerator[negative]} at degree {negative}"
-            )
-        # the walk's packed greedy run must agree with a one-shot fit of the same row
-        fit = fit_denominator(
-            target, report.candidate.denominator_degrees, max_factor_degree=args.max_factor_degree
-        )
-        walked = (report.match_degree, report.candidate.numerator_degrees, report.first_mismatch)
-        fitted = (fit.match_degree, fit.candidate.numerator_degrees, fit.first_mismatch)
-        if walked != fitted:
-            raise ConsistencyError(
-                f"the search gave denominator {report.candidate.denominator_degrees} match degree, "
-                f"numerator degrees and first mismatch {walked}; a one-shot fit gives {fitted}"
-            )
     anchored = _anchored(target)
     result = {
         "candidate_count": count,

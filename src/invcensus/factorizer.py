@@ -238,8 +238,9 @@ def search_candidates(
     free_generators: int | None = None,
     max_factor_degree: int | None = None,
     max_total_factors: int | None = None,
-) -> list[FitReport]:
-    """Enumerate denominator multisets and rank the surviving fits.
+    limit: int | None = None,
+) -> tuple[int, list[FitReport]]:
+    """Enumerate denominator multisets; return the survivor count and the best reports.
 
     Candidates survive when the implied numerator series is nonnegative
     through the target's truncation.  When the target has exactly one linear
@@ -248,24 +249,13 @@ def search_candidates(
     descending, then fewest total factors, then the denominator degrees, then
     the numerator degrees: a total order, since no two survivors share a
     denominator.
-    """
-    _, keys = _survivors(target, free_generators, max_factor_degree, max_total_factors)
-    return [_report(k, target.degree) for k in keys]
 
-
-def _survivors(
-    target, free_generators, max_factor_degree, max_total_factors, limit=None
-) -> tuple[int, list[tuple]]:
-    """The survivor count of search_candidates and its rank keys, best first.
-
-    With a limit only the best `limit` keys are returned, and the pool never
-    holds more than 2*limit: when it fills, it is cut back to its best
-    `limit`, and from then on a survivor whose match degree and size alone
-    rank it at or below the worst of those is counted without building its
-    key.  Keys are distinct, so no cut breaks a tie, and a tie on match
-    degree and size is decided by the denominator: the walk offers
-    denominators in increasing order, so the later survivor ranks after
-    every key already kept.
+    With a limit only the best `limit` reports are built, and the pool of rank
+    keys never holds more than 2*limit: a full pool is cut back to its best
+    `limit`, and from then on a survivor whose match degree and size alone rank
+    it at or below the worst kept key is counted without a key.  A tie on those
+    two goes by the denominator, and the walk offers denominators in increasing
+    order, so the later survivor ranks after every kept key.
     """
     if target[0] != 1:
         raise ValueError(f"target series must have constant term 1, got {target[0]}")
@@ -278,6 +268,8 @@ def _survivors(
         require_int("max_factor_degree", max_factor_degree, 1)
     if max_total_factors is not None:
         require_int("max_total_factors", max_total_factors, 1)
+    if limit is not None:
+        require_int("limit", limit, 1)
     if free_generators is not None:
         require_int("free_generators", free_generators, 0)
         smallest = largest = free_generators
@@ -364,4 +356,4 @@ def _survivors(
         p = sum(c << i * width for i, c in enumerate(root)) + signs[0]
         f = sum(e << j * v for j, e in enumerate(run)) + bias - (chains[1] if anchored else 0)
         descend(prefix, p, first_negative, 1 + anchored, f)
-    return count, sorted(keys)[:limit]
+    return count, [_report(k, degree) for k in sorted(keys)[:limit]]

@@ -328,25 +328,34 @@ def _block_series(problem: CensusProblem, max_degree: int) -> Series:
     ])
 
 
-def _partition_counts(top: int) -> list:
-    """p(0) .. p(top) by the recurrence over the largest part, which lists no
-    partition."""
-    counts = [1] + [0] * top
-    for part in range(1, top + 1):
-        for m in range(part, top + 1):
-            counts[m] += counts[m - part]
-    return counts
+def _partition_counts():
+    """p(0), p(1), ... in turn by Euler's pentagonal recurrence, which lists no
+    partition: p(m) = Sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
+    counts = [1]
+    yield 1
+    while True:
+        m, total, k = len(counts), 0, 1
+        while (low := m - k * (3 * k - 1) // 2) >= 0:
+            term = counts[low] + (counts[low - k] if low >= k else 0)
+            total += term if k % 2 else -term
+            k += 1
+        counts.append(total)
+        yield total
 
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
     """Predicted work of _block_series: per class of S_m and block of N rows,
     N capped at the degree, the passes _times_power_sum makes over p_rho's
-    C(m+N-1, N-1) keys, one copy and N - 1 shifts."""
-    classes = _partition_counts(max_degree)
+    C(m+N-1, N-1) keys, one copy and N - 1 shifts.  The sum runs up in m, one
+    p(m) at a time, and stops once it passes MAX_BLOCK_PASSES: a degree far past
+    the bound costs no more to refuse than one at it."""
     sizes = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
-    return sum(
-        classes[m] * sum(n * comb(m + n - 1, n - 1) for n in sizes) for m in range(max_degree + 1)
-    )
+    total = 0
+    for m, classes in zip(range(max_degree + 1), _partition_counts()):
+        total += classes * sum(n * comb(m + n - 1, n - 1) for n in sizes)
+        if total > MAX_BLOCK_PASSES:
+            break
+    return total
 
 
 def _joint_bytes(problem: CensusProblem, max_degree: int) -> int:

@@ -26,7 +26,11 @@ Run every CI row, one child process and one printed line each:
 
 It exits nonzero if any row fails.  It uses only the standard library and
 puts src/ on the children's PYTHONPATH.  Peak RSS is the child's ru_maxrss
-from os.wait4, which Linux reports in KiB.
+from os.wait4, which Linux reports in KiB.  A child started by os.posix_spawn
+shares the runner's memory until exec, and its ru_maxrss keeps that
+high-water mark across exec, so a row's figure reads max(runner, child): on
+Linux a `--version` child reads about 16.5 MB, and 76.5 MB once the runner
+holds 60 MB more.  A bound below the runner's own RSS cannot pass.
 
 Record a performance run of the same rows:
 

@@ -189,7 +189,7 @@ def test_acceptance_7_property_suites(capsys):
 
 def test_acceptance_8_search_rediscovery(capsys):
     with verdict(capsys, "8 search rediscovers the saturated denominator"):
-        reports = search_candidates(
+        _, reports = search_candidates(
             Series(TWO_BY_TWO), free_generators=9, max_factor_degree=9
         )
         denominators = {r.candidate.denominator_degrees for r in reports}

@@ -9,7 +9,7 @@ import pytest
 
 from invcensus import __version__, cli, clear_caches, factorizer
 from invcensus.cli import main
-from invcensus.factorizer import search_candidates
+from invcensus.factorizer import FitReport, search_candidates
 from invcensus.series import Series, write_series_file
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -317,16 +317,17 @@ def test_factor_rows_are_the_library_ranking(capsys, tmp_path, monkeypatch, opti
     target = Series(TWO_BY_TWO)
     path = tmp_path / "target.json"
     write_series_file(path, target)
-    reports = search_candidates(target, **options)
-    # the CLI ranks plain tuples, whose order is the library's only if denominators are distinct
-    assert len({r.candidate.denominator_degrees for r in reports}) == len(reports)
+    count, reports = search_candidates(target, **options)
+    # the walk ranks plain tuples, whose order is the reports' only if denominators are distinct
+    assert len({r.candidate.denominator_degrees for r in reports}) == len(reports) == count
     built = []
+    make_report = factorizer._report
 
     def counted_report(key, nonnegative_through):
         built.append(key)
-        return factorizer._report(key, nonnegative_through)
+        return make_report(key, nonnegative_through)
 
-    monkeypatch.setattr(cli, "_report", counted_report)
+    monkeypatch.setattr(factorizer, "_report", counted_report)
     flags = [f"--{name.replace('_', '-')}={value}" for name, value in options.items()]
     for limit in (1, 3, 10, len(reports) + 7):
         built.clear()
@@ -336,7 +337,8 @@ def test_factor_rows_are_the_library_ranking(capsys, tmp_path, monkeypatch, opti
         )
         assert doc["result"]["candidate_count"] == len(reports)
         rows = doc["result"]["candidates"]
-        assert len(rows) == len(built) == min(limit, len(reports))
+        # one report per shown row from the search, and one per row from its one-shot fit
+        assert len(built) == 2 * len(rows) == 2 * min(limit, len(reports))
         assert [
             (
                 row["numerator_degrees"],
@@ -358,19 +360,42 @@ def test_factor_rows_are_the_library_ranking(capsys, tmp_path, monkeypatch, opti
         ]
 
 
+def test_factor_runs_the_library_search_once(capsys, tmp_path, monkeypatch):
+    # a tracer that patches cli.search_candidates by name sees the whole walk
+    path = tmp_path / "target.json"
+    write_series_file(path, Series(TWO_BY_TWO))
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs)
+        return search_candidates(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "search_candidates", counted)
+    doc = run_json(
+        capsys, "factor", "--series-file", str(path), "--free-generators", "9", "--limit", "2",
+        "--format", "json",
+    )
+    assert len(calls) == 1 and calls[0]["limit"] == 2
+    assert len(doc["result"]["candidates"]) == 2
+
+
 def test_factor_fails_loudly_on_a_negative_shown_numerator(capsys, tmp_path, monkeypatch):
     # (1, 1) leaves -1 at degree 1 of 1 + x + 4x^2 + ..., so the search never keeps it;
     # a search that did would show a row whose nonnegativity claim is false
     path = tmp_path / "target.json"
     write_series_file(path, Series(TWO_BY_TWO))
-    key = (-11, 2, (1, 1), (), None)
-    monkeypatch.setattr(cli, "_survivors", lambda *args: (1, [key]))
+    fit = factorizer.fit_denominator(Series(TWO_BY_TWO), (1, 1))
+    assert fit.numerator_nonnegative_through == 0  # -1 at degree 1
+    # the same fit, but claiming a numerator nonnegative through degree 11
+    kept = FitReport(fit.candidate, fit.match_degree, fit.first_mismatch, 11)
+    monkeypatch.setattr(cli, "search_candidates", lambda *args, **kwargs: (1, [kept]))
     status, out, err = run(
         capsys, "factor", "--series-file", str(path), "--free-generators", "2"
     )
     assert status == 1
     assert out == ""
-    assert "kept denominator (1, 1), whose numerator is -1 at degree 1" in err
+    assert f"kept denominator (1, 1) as {kept}; a one-shot fit gives {fit}" in err
+    assert "numerator_nonnegative_through=11)" in err and "numerator_nonnegative_through=0)" in err
 
 
 def test_factor_fails_loudly_when_a_shown_row_disagrees_with_its_one_shot_fit(
@@ -380,17 +405,20 @@ def test_factor_fails_loudly_when_a_shown_row_disagrees_with_its_one_shot_fit(
     # a one-shot fit of the same denominator does not reproduce
     path = tmp_path / "target.json"
     write_series_file(path, Series(TWO_BY_TWO))
-    count, (key,) = factorizer._survivors(Series(TWO_BY_TWO), 2, None, None, 1)
-    wrong = (key[0] - 1,) + key[1:]  # one degree more than the walk found
-    monkeypatch.setattr(cli, "_survivors", lambda *args: (count, [wrong]))
+    count, (fit,) = search_candidates(Series(TWO_BY_TWO), free_generators=2, limit=1)
+    wrong = FitReport(  # one degree more than the walk found
+        fit.candidate, fit.match_degree + 1, fit.first_mismatch, fit.numerator_nonnegative_through
+    )
+    monkeypatch.setattr(cli, "search_candidates", lambda *args, **kwargs: (count, [wrong]))
     status, out, err = run(
         capsys, "factor", "--series-file", str(path), "--free-generators", "2", "--limit", "1"
     )
     assert status == 1
     assert out == ""
-    match = -key[0]
-    assert f"{key[2]} match degree, numerator degrees and first mismatch ({match + 1}, " in err
-    assert f"a one-shot fit gives ({match}, " in err
+    denominator = fit.candidate.denominator_degrees
+    assert f"kept denominator {denominator} as {wrong}; a one-shot fit gives {fit}" in err
+    assert f"match_degree={fit.match_degree + 1}," in err
+    assert f"match_degree={fit.match_degree}," in err
 
 
 def test_factor_refuses_a_huge_euler_exponent(capsys, tmp_path):

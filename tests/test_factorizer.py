@@ -15,7 +15,6 @@ from invcensus.factorizer import (
     RationalForm,
     _anchored,
     _euler_exponents,
-    _survivors,
     compare,
     expand,
     fit_denominator,
@@ -248,7 +247,7 @@ def test_fit_exact_denominator_fully_factors():
 
 
 def test_search_simple_target():
-    reports = search_candidates(Series([1, 2, 2, 2, 2]), free_generators=1, max_factor_degree=4)
+    _, reports = search_candidates(Series([1, 2, 2, 2, 2]), free_generators=1, max_factor_degree=4)
     top = reports[0]
     assert top.candidate == RationalForm((1,), (1,))
     assert top.match_degree == 4
@@ -257,7 +256,7 @@ def test_search_simple_target():
 
 def test_search_single_qubit_counts():
     target = Series([1, 1, 2, 2, 3, 3, 4, 4, 5])
-    reports = search_candidates(target, free_generators=2, max_factor_degree=4)
+    _, reports = search_candidates(target, free_generators=2, max_factor_degree=4)
     top = reports[0]
     assert top.candidate == RationalForm((), (1, 2))
     assert top.match_degree == 8
@@ -265,7 +264,7 @@ def test_search_single_qubit_counts():
 
 
 def test_search_rediscovers_saturated_denominator():
-    reports = search_candidates(TARGET_F, free_generators=9, max_factor_degree=9)
+    _, reports = search_candidates(TARGET_F, free_generators=9, max_factor_degree=9)
     by_denominator = {
         r.candidate.denominator_degrees: r for r in reports
     }
@@ -279,8 +278,8 @@ def test_search_rediscovers_saturated_denominator():
 
 
 def test_search_reports_are_self_consistent():
-    reports = search_candidates(TARGET_F, free_generators=9, max_factor_degree=9)
-    assert len(reports) == 4862
+    count, reports = search_candidates(TARGET_F, free_generators=9, max_factor_degree=9)
+    assert count == len(reports) == 4862
     for r in reports:
         recheck = compare(expand(r.candidate, TARGET_F.degree), TARGET_F)
         if recheck is None:
@@ -303,7 +302,7 @@ def test_search_is_deterministic():
 
 
 def test_search_size_sweep():
-    reports = search_candidates(
+    _, reports = search_candidates(
         Series([1, 2, 2, 2, 2]), max_total_factors=2, max_factor_degree=4
     )
     assert reports[0].candidate == RationalForm((1,), (1,))
@@ -317,9 +316,9 @@ def test_search_rejects_both_size_options():
 
 def test_search_empty_box():
     # anchored target but no denominator with exactly one linear factor fits
-    assert search_candidates(Series([1, 1, 1]), free_generators=3, max_factor_degree=1) == []
+    assert search_candidates(Series([1, 1, 1]), free_generators=3, max_factor_degree=1) == (0, [])
     # the empty denominator has no linear factor at all
-    assert search_candidates(Series([1, 1, 1]), free_generators=0) == []
+    assert search_candidates(Series([1, 1, 1]), free_generators=0) == (0, [])
     with pytest.raises(ValueError, match="free_generators or max_total_factors"):
         search_candidates(Series([1, 1]))
     with pytest.raises(ValueError, match="constant term 1"):
@@ -437,7 +436,8 @@ NARROW_TARGET = Series([1, 3, -2])
 )
 def test_search_equals_filter_then_fit(target, kwargs, sizes):
     expected = _filter_then_fit(target, sizes, kwargs["max_factor_degree"])
-    reports = search_candidates(target, **kwargs)
+    count, reports = search_candidates(target, **kwargs)
+    assert count == len(reports)
     assert [_report_row(r) for r in reports] == [row[:-1] for row in expected]
     # a factor (1-x^b) never lifts the first negative coefficient, so only a
     # nonnegative target has survivors
@@ -510,22 +510,15 @@ def test_fit_mismatch_matches_expansion_for_every_small_denominator():
     ],
 )
 def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
-    args = (
-        options["target"],
-        options.get("free_generators"),
-        options["max_factor_degree"],
-        options.get("max_total_factors"),
-    )
-    total, keys = _survivors(*args)
-    assert total == len(keys) == count
-    assert keys == sorted(keys)
-    # every survivor, in the same order, is a report of search_candidates
-    reports = search_candidates(**options)
-    assert [r.candidate.denominator_degrees for r in reports] == [k[2] for k in keys]
+    total, reports = search_candidates(**options)
+    assert total == len(reports) == count
+    ranks = [(-r.match_degree, r.candidate.total_invariant_count, r.candidate.denominator_degrees,
+              r.candidate.numerator_degrees) for r in reports]
+    assert ranks == sorted(ranks)
     # small limits cut the pool many times; count // 2 fills it on the last survivor or
     # the one before; the largest limits never cut
     for limit in (1, 2, 3, 10, count // 2, count - 1, count, count + 7):
-        assert _survivors(*args, limit) == (count, keys[:limit])
+        assert search_candidates(**options, limit=limit) == (count, reports[:limit])
 
 
 # A factor (1 - x^b) with b past the truncation changes no coefficient, yet each
@@ -533,7 +526,8 @@ def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
 # alone (1,333,299 at cap 200).  This pins the behaviour as it is.
 @pytest.mark.parametrize("cap, count", [(11, 219), (50, 20824)])
 def test_caps_past_the_truncation_count_each_multiset(cap, count):
-    assert _survivors(TARGET_F, 4, cap, None, 3)[0] == count
+    options = {"free_generators": 4, "max_factor_degree": cap, "limit": 3}
+    assert search_candidates(TARGET_F, **options)[0] == count
 
 
 SERIES_2X2_D16 = Path(__file__).resolve().parents[1] / "bench" / "series-2x2-d16.json"
@@ -544,30 +538,36 @@ def test_bounded_survivors_hold_memory_by_limit_not_by_survivor_count():
     target = read_series_file(SERIES_2X2_D16)
     tracemalloc.start()
     try:
-        count, keys = _survivors(target, 10, 10, None, 10)
+        count, reports = search_candidates(
+            target, free_generators=10, max_factor_degree=10, limit=10
+        )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (count, len(keys)) == (17241, 10)
+    assert (count, len(reports)) == (17241, 10)
     assert peak < 2_000_000, f"traced peak {peak} bytes"
+
+
+def _rank(report):
+    """A report's match degree and size, the two entries its rank key leads with."""
+    return report.match_degree, report.candidate.total_invariant_count
 
 
 def test_walk_keys_match_one_shot_fits_on_the_2x2_series():
     # the walk carries each greedy run down the tree; fitting every survivor
     # from scratch must give the same match degree, numerator and mismatch
     target = read_series_file(SERIES_2X2_D16)
-    count, keys = _survivors(target, 10, 10, None)
-    assert count == len(keys) == 17241
-    for negative_match, _, dens, numerator_degrees, mismatch in keys:
-        report = fit_denominator(target, dens, max_factor_degree=10)
-        assert report.match_degree == -negative_match
-        assert report.candidate.numerator_degrees == numerator_degrees
-        assert report.first_mismatch == mismatch
+    count, reports = search_candidates(target, free_generators=10, max_factor_degree=10)
+    assert count == len(reports) == 17241
+    for r in reports:
+        assert fit_denominator(target, r.candidate.denominator_degrees, max_factor_degree=10) == r
     # past the first cut most survivors rank below the worst kept key on match
-    # degree and size alone; at limit 10 some share both with it (-9, 22)
-    assert keys[9][:2] == (-9, 22) and keys[10][:2] == (-9, 22)
+    # degree and size alone; at limit 10 some share both with it (9, 22)
+    assert _rank(reports[9]) == _rank(reports[10]) == (9, 22)
     for limit in (1, 3, 10, 100):
-        assert _survivors(target, 10, 10, None, limit) == (count, keys[:limit])
+        assert search_candidates(
+            target, free_generators=10, max_factor_degree=10, limit=limit
+        ) == (count, reports[:limit])
 
 
 def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
@@ -575,8 +575,8 @@ def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
     # the worst kept key on match degree and size ranks after it and is counted
     # without a key; at limit 100 three survivors tie the 100th key itself
     target = read_series_file(SERIES_2X2_D16)
-    count, keys = _survivors(target, 10, 10, None)
-    assert [k[:2] for k in keys[99:103]] == [(-9, 23)] * 4
+    count, reports = search_candidates(target, free_generators=10, max_factor_degree=10)
+    assert [_rank(r) for r in reports[99:103]] == [(9, 23)] * 4
     built = []
     make_key = factorizer._key
 
@@ -585,7 +585,9 @@ def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(factorizer, "_key", recorded)
-    assert _survivors(target, 10, 10, None, 100) == (count, keys[:100])
+    assert search_candidates(
+        target, free_generators=10, max_factor_degree=10, limit=100
+    ) == (count, reports[:100])
     # building a key for every tie would make this 427
     assert len(built) == 237
 
@@ -600,13 +602,12 @@ def test_walk_keys_match_one_shot_fits_at_the_top_of_the_digit_width():
     base = [n // 2 + 1 for n in range(11)]
     target = Series([base[n] + big * base[n - 6] if n >= 6 else base[n] for n in range(11)])
     assert _euler_exponents(target.coeffs) == [0, 1, 1, 0, 0, 0, big, 0, 0, 0, 0]
-    count, keys = _survivors(target, 3, None, None)
-    assert count == len(keys) == 8
-    assert [k[:2] for k in keys[:4]] == [(-10, big + 2), (-10, big + 3)] + [(-10, big + 4)] * 2
-    for negative_match, _, dens, numerator_degrees, mismatch in keys:
-        report = fit_denominator(target, dens)
-        assert report.match_degree == -negative_match
-        assert report.candidate.numerator_degrees == numerator_degrees
-        assert report.first_mismatch == mismatch
+    count, reports = search_candidates(target, free_generators=3)
+    assert count == len(reports) == 8
+    assert [_rank(r) for r in reports[:4]] == [(10, big + 2), (10, big + 3)] + [(10, big + 4)] * 2
+    for r in reports:
+        assert fit_denominator(target, r.candidate.denominator_degrees) == r
     for limit in range(1, 9):
-        assert _survivors(target, 3, None, None, limit) == (count, keys[:limit])
+        assert search_candidates(target, free_generators=3, limit=limit) == (
+            count, reports[:limit]
+        )

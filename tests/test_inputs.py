@@ -54,6 +54,12 @@ ENTRY_POINTS = [
         lambda v: search_candidates(TARGET, free_generators=v),
         0,
     ),
+    (
+        "search_candidates-limit",  # a second argument of the same entry point, with its own id
+        "limit",
+        lambda v: search_candidates(TARGET, free_generators=1, limit=v),
+        1,
+    ),
 ]
 KINDS = {0: "a nonnegative integer", 1: "a positive integer"}
 

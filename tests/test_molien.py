@@ -1,6 +1,7 @@
 import ast
+import time
 from collections import Counter
-from itertools import accumulate, permutations, product
+from itertools import accumulate, islice, permutations, product
 from math import comb, factorial
 from pathlib import Path
 
@@ -731,8 +732,21 @@ def test_a_million_row_block_costs_its_degree():
 
 
 def test_partition_counts_follow_the_lists():
-    assert molien._partition_counts(12) == [len(partitions_of(m)) for m in range(13)]
-    assert molien._partition_counts(90)[90] == 56634173  # p(90), never listed
+    counts = list(islice(molien._partition_counts(), 91))
+    assert counts[:13] == [len(partitions_of(m)) for m in range(13)]
+    assert counts[90] == 56634173  # p(90), never listed
+
+
+def test_a_refused_block_engine_costs_no_more_than_its_bound():
+    # 1x1 past degree 11,583 is past the joint estimate, and the block engine's
+    # passes sum p(m) over m <= D: they pass MAX_BLOCK_PASSES at m = 116, and
+    # the sum stops there, not at D = 10^5 after O(D^2) big-integer additions
+    problem = CensusProblem(1, 1)
+    started = time.perf_counter()
+    assert molien._block_cost(problem, 10**5) > molien.MAX_BLOCK_PASSES
+    with pytest.raises(ResourceLimitError, match="1x1 to degree 100000 fits no Molien engine"):
+        molien._engine(problem, 10**5)
+    assert time.perf_counter() - started < 1
 
 
 def test_molien_coefficient_two_qubit_values():
