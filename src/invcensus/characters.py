@@ -20,6 +20,8 @@ from .partitions import Partition, as_partition, common_weight, dimension, parti
 
 # Hard safety cap: tables grow like p(n)^2, and none past it is memoized.
 DEFAULT_MAX_TABLE_N = 16
+# A point value is refused once one part's strips leave more shapes than this.
+MAX_LIVE_SHAPES = 10_000
 
 
 def _beads(shape: tuple[int, ...], rows: int) -> int:
@@ -97,6 +99,11 @@ def _character(shape: Partition, cycles: Partition) -> int:
             for smaller, sign in _strip_removals(beads, length):
                 smaller_values[smaller] = smaller_values.get(smaller, 0) + sign * value
         values = smaller_values
+        if len(values) > MAX_LIVE_SHAPES:
+            raise ResourceLimitError(
+                f"character too large: {len(values)} shapes remain after a strip of length "
+                f"{length}, past the bound of {MAX_LIVE_SHAPES}"
+            )
     return sum(value * dimension(_shape(beads, rows)) for beads, value in values.items())
 
 

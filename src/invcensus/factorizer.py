@@ -23,7 +23,11 @@ the scan for a negative coefficient, a leaf's test and where a survivor's
 pass stops are a few big-integer operations each.  A factor (1-x^b) leaves
 every coefficient below b unchanged, so a prefix whose numerator is negative
 below the next factor degree heads a subtree in which nothing survives, and
-that subtree is skipped.
+that subtree is skipped.  A factor only lowers f, so a leaf's pass stops no
+later than its parent's first f_j < 0.  Once a bounded pool has been cut, the
+leaves of a parent with f_j < 0 below the worst kept key's stop rank after that
+key, and the leaf test alone counts them: no key, no f of their own.  A cut
+only improves the worst kept key, so the digits tested only grow.
 """
 
 from .errors import Frozen, ResourceLimitError, exact_quotient, require_int
@@ -280,6 +284,7 @@ def search_candidates(
     nonnegative = max(degree, max_factor_degree) + 1
     keys = []
     count = 0
+    below = 0  # after a cut, the sign bits of f's digits below the worst kept key's stop
     full = None if limit is None else 2 * limit
     head = None  # the first two entries of the limit-th key after the last cut
     # A partial numerator c is one integer whose W-bit digit i is c_i + 2^(W-1).
@@ -291,7 +296,8 @@ def search_candidates(
     width = (max(map(abs, target.coeffs)) << largest).bit_length() + 1
     mask = (1 << (degree + 1) * width) - 1
     top = sum(1 << (i * width + width - 1) for i in range(degree + 1))
-    signs = [top >> b * width << b * width for b in range(nonnegative + 1)]
+    shifts = [b * width for b in range(nonnegative + 1)]
+    signs = [top >> s << s for s in shifts]
     guard = 1 << (nonnegative * width + width - 1)  # a sign bit that reads as `nonnegative`
     # Until it stops, the greedy run reaches degree j holding f_j = e_j, plus f_(j/2)
     # for even j, and a factor (1-x^b) lowers f_b, f_2b, f_4b, ... by one.  f is one
@@ -312,18 +318,18 @@ def search_candidates(
     chains = [sum(1 << (b << i) * v for i in range((degree // b).bit_length())) if b else 0
               for b in range(max_factor_degree + 1)]
 
-    def offer(prefix, f):
+    def offer(prefix, size, f):
         # count one survivor, whose run stops at the lowest f_j < 0 or f_j > 0 past
         # the cap, and pool its key; (f & low) + low sets the sign bit of each digit
         # whose low bits are not all clear
-        nonlocal count, keys, head
+        nonlocal count, keys, head, below
         count += 1
         stops = bias & ~f | f & ((f & low) + low) & past_cap | run_guard
         stop = (stops & -stops).bit_length() // v - 1
         if head is not None and 1 - stop >= head[0]:
             # a tie on match degree goes by size, the digit sum below stop, read only here
             if 1 - stop > head[0] or (
-                ((f & ((1 << stop * v) - 1)) - stop * half) % digit + len(prefix) >= head[1]
+                ((f & ((1 << stop * v) - 1)) - stop * half) % digit + size >= head[1]
             ):
                 return  # at or below the worst kept key on match degree and size alone
         exponents = [(f >> j * v & digit) - half for j in range(min(stop, degree) + 1)]
@@ -331,22 +337,39 @@ def search_candidates(
         if len(keys) == full:
             keys = sorted(keys)[:limit]
             head = keys[-1][:2]
+            below = bias & ((1 << (1 - head[0]) * v) - 1)
 
-    def descend(prefix, p, first_negative, next_lowest, f):
-        if len(prefix) >= smallest and first_negative == nonnegative:
-            offer(prefix, f)
-        children = range(next_lowest, min(max_factor_degree, first_negative) + 1)
-        if len(prefix) + 1 < largest:
-            for b in children:
-                q = (p + signs[b] - (p << b * width)) & mask  # (1-x^b)*c
+    def descend(prefix, size, p, first_negative, next_lowest, f):
+        # a leaf parent below the root is walked in its parent's loop, without a call
+        nonlocal count
+        if size >= smallest and first_negative == nonnegative:
+            offer(prefix, size, f)
+        end = first_negative if first_negative < max_factor_degree else max_factor_degree
+        if size + 1 < largest:
+            for b in range(next_lowest, end + 1):
+                q = (p + signs[b] - (p << shifts[b])) & mask  # (1-x^b)*c
                 negative = signs[b] & ~q | guard  # b never passes c's first negative degree
                 first = (negative & -negative).bit_length() // width - 1
-                descend(prefix + (b,), q, first, b, f - chains[b])
-        elif len(prefix) < largest:
-            # a leaf survives iff its sign bits b..D are set
-            for b in children:
-                if (p + signs[b] - (p << b * width)) & signs[b] == signs[b]:
-                    offer(prefix + (b,), f - chains[b])
+                g = f - chains[b]
+                if size + 2 < largest:
+                    descend(prefix + (b,), size + 1, q, first, b, g)
+                    continue
+                if size + 1 >= smallest and first == nonnegative:
+                    offer(prefix + (b,), size + 1, g)
+                leaves = range(b, (first if first < max_factor_degree else max_factor_degree) + 1)
+                if ~g & below:  # every leaf stops below the worst kept key: count only
+                    for c in leaves:
+                        t = signs[c]
+                        count += (q + t - (q << shifts[c])) & t == t
+                else:  # a leaf survives iff its sign bits c..D are set
+                    for c in leaves:
+                        t = signs[c]
+                        if (q + t - (q << shifts[c])) & t == t:
+                            offer(prefix + (b, c), size + 2, g - chains[c])
+        elif size < largest:  # a root that is a leaf parent
+            for c in range(next_lowest, end + 1):
+                if (p + signs[c] - (p << shifts[c])) & signs[c] == signs[c]:
+                    offer(prefix + (c,), size + 1, f - chains[c])
 
     # an anchored walk puts the one degree-1 factor first and draws the rest from 2 up
     prefix = (1,) if anchored else ()
@@ -355,5 +378,5 @@ def search_candidates(
         first_negative = next((n for n, c in enumerate(root) if c < 0), nonnegative)
         p = sum(c << i * width for i, c in enumerate(root)) + signs[0]
         f = sum(e << j * v for j, e in enumerate(run)) + bias - (chains[1] if anchored else 0)
-        descend(prefix, p, first_negative, 1 + anchored, f)
+        descend(prefix, len(prefix), p, first_negative, 1 + anchored, f)
     return count, [_report(k, degree) for k in sorted(keys)[:limit]]

@@ -257,3 +257,18 @@ def test_point_queries_read_one_cycles_off_hook_lengths():
     start = time.perf_counter()
     assert character(staircase, (1,) * 91) == dimension(staircase)
     assert time.perf_counter() - start < 1
+
+
+def test_point_queries_refuse_too_many_live_shapes():
+    # a class of small parts without 1s spreads the value over many shapes: the
+    # rectangle 12^12 at the domino class 2^72 would hold 37,834 of them after one
+    # strip and take seconds; 10^10 at 2^50 peaks at 3,656 and is still answered
+    start = time.perf_counter()
+    with pytest.raises(
+        ResourceLimitError,
+        match=r"^character too large: \d+ shapes remain after a strip of length 2, "
+        r"past the bound of 10000$",
+    ):
+        character((12,) * 12, (2,) * 72)
+    assert time.perf_counter() - start < 1
+    assert character((10,) * 10, (2,) * 50) == 62_144_711_688_730_139_887_005_809_020_800

@@ -507,6 +507,9 @@ def test_fit_mismatch_matches_expansion_for_every_small_denominator():
         ({"target": TARGET_F, "max_total_factors": 5, "max_factor_degree": 7}, 201),
         # factor degrees past the truncation, which have no exponent e_b to lower
         ({"target": Series([1, 2, 2, 2, 2]), "max_total_factors": 3, "max_factor_degree": 6}, 36),
+        # a root that is a leaf parent: (1,) anchored, () unanchored
+        ({"target": TARGET_F, "free_generators": 2, "max_factor_degree": 11}, 10),
+        ({"target": Series([1] + [2] * 7), "free_generators": 1, "max_factor_degree": 11}, 11),
     ],
 )
 def test_bounded_survivors_are_the_first_of_the_full_ranking(options, count):
@@ -568,6 +571,18 @@ def test_walk_keys_match_one_shot_fits_on_the_2x2_series():
         assert search_candidates(
             target, free_generators=10, max_factor_degree=10, limit=limit
         ) == (count, reports[:limit])
+
+
+def test_bounded_sweep_counts_leaves_under_surviving_leaf_parents():
+    # in a size sweep a leaf parent is a survivor too, offered before its leaves;
+    # after a cut, the leaves of a parent whose run goes negative below the worst
+    # kept key's stop are counted by their sign test alone
+    target = read_series_file(SERIES_2X2_D16)
+    options = {"max_total_factors": 8, "max_factor_degree": 10}
+    count, reports = search_candidates(target, **options)
+    assert count == len(reports) == 10147
+    for limit in range(1, 13):
+        assert search_candidates(target, **options, limit=limit) == (count, reports[:limit])
 
 
 def test_survivors_tying_the_worst_kept_key_build_no_key(monkeypatch):
