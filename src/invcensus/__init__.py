@@ -44,7 +44,7 @@ from .partitions import (
 )
 from .series import Series, read_series_file, series_from_json, series_to_json, write_series_file
 
-__version__ = "0.37.0"
+__version__ = "0.38.0"
 
 
 # every memo in the package, each a functools cache

@@ -41,33 +41,33 @@ h_n = sum_rho p_rho / z_rho splits the integral into one per block:
 and Frobenius's formula reads each character off the power sums of the
 block's N variables: chi_kappa(rho) = sum_{w in S_N} sgn(w)·[x^(kappa +
 delta - w·delta)] p_rho(x), delta = (N-1, .., 0) (Macdonald, Symmetric
-Functions and Hall Polynomials, ch. I).  A shape of size m has at most m
-rows, so I_N(rho) = I_min(N, |rho|)(rho) and each block runs at
-min(N, max(D, 1)) rows, with at most l(kappa)! terms per shape (see
-_frobenius_terms).  One depth-first walk over the cycle types rho, as in
-the census, holds p_rho for each block as a dict on packed exponent keys
-with one base, D + N of the larger block, and each appended part r
-multiplies it by p_r = sum_i x_i^r.  Exponents of p_rho are at most D and
-digits of kappa + delta below the base, so no digit carries; a digit at or
-past it is rejected.  A key packs only the first N - 1 exponents, and the
-last is implied by the degree: p_rho is homogeneous of degree |rho|, and
-each kappa + delta - w·delta of a shape of that size has row sum |rho| too,
-so two monomials of one degree that share a key share every exponent.  So
+Functions and Hall Polynomials, ch. I), with at most l(kappa)! terms per
+shape (see _frobenius_terms).  Once N >= |rho| every shape of |rho| fits
+the block, and I_N(rho) = z_rho (Diaconis and Shahshahani, 1994): a block
+of N >= D rows is wide, contributes z_rho and grows no p_rho.  One
+depth-first walk over the cycle types rho, as in the census, holds p_rho
+for each narrow block as a dict on packed exponent keys with one base,
+D + N of the larger narrow block, and each appended part r multiplies it by
+p_r = sum_i x_i^r.  Exponents of p_rho are at most D and digits of kappa +
+delta below the base, so no digit carries; a digit at or past it is
+rejected.  A key packs only the first N - 1 exponents, and the last is
+implied by the degree: p_rho is homogeneous of degree |rho|, and each
+kappa + delta - w·delta of a shape of that size has row sum |rho| too, so
+two monomials of one degree that share a key share every exponent.  So
 multiplying by p_r copies p_rho for the x_N^r term and adds N - 1 shifted
 passes, and each shape's terms are a list of plus keys and a list of minus
 keys, whose sums over p_rho give chi_kappa(rho) with no Python step per
-term.  A 1-row block takes the same path with no digit left, so its p_rho
-stays {0: 1}, and I_N(rho) = z_rho once N >= |rho| (Diaconis and
-Shahshahani, 1994).  Each F_n is exact_quotient(class sum, n!).
+term.  A narrow 1-row block takes the same path with no digit left, so its
+p_rho stays {0: 1}.  Each F_n is exact_quotient(class sum, n!).
 
-A block wider than the degree goes to the block engine, capped at the
-degree.  Otherwise the joint product runs when its key has at most
-JOINT_DIGITS digits, N1 + N2 - 2 <= 3 (1x1 to 2x3, and 1x4): each digit
-past that multiplies a level's slabs by the base, and on 1x5 it ran about
-twice as fast as the block engine at three times its peak memory.  An engine
-runs only if its memory estimate fits MAX_ENGINE_BYTES, and the block engine
-only within MAX_BLOCK_PASSES passes over the keys of p_rho, N·C(m+N-1, N-1)
-per class of S_m and block of N rows; an input that fits neither is refused.
+The joint product runs when its key has at most JOINT_DIGITS digits,
+N1 + N2 - 2 <= 3 (1x1 to 2x3, and 1x4): each digit past that multiplies a
+level's slabs by the base, and on 1x5 it ran about twice as fast as the
+block engine at three times its peak memory.  An engine runs only if its
+memory estimate fits MAX_ENGINE_BYTES, and the block engine only within
+MAX_BLOCK_PASSES passes over the keys of p_rho, N·C(m+N-1, N-1) per class
+of S_m and distinct narrow size N, plus CLASS_STEP_PASSES per class for the
+walk's own step; an input that fits neither is refused.
 """
 
 from itertools import accumulate, repeat
@@ -81,6 +81,7 @@ from .series import Series
 JOINT_DIGITS = 3  # the joint product's most key digits, N1 + N2 - 2
 MAX_ENGINE_BYTES = 1 << 28  # neither engine runs past this memory estimate
 MAX_BLOCK_PASSES = 10**10  # _block_cost ran at 1.5-4.2·10^7 passes/s: 4-11 minutes (2-core Xeon)
+CLASS_STEP_PASSES = 64  # a walk step took 2.6-3.3 µs: about 40-140 passes at those rates
 
 
 def _block_roots(size: int) -> list:
@@ -302,10 +303,10 @@ def _block_integral(poly: dict, terms: list) -> int:
 
 
 def _block_series(problem: CensusProblem, max_degree: int) -> Series:
-    """F_0 .. F_max_degree as one class sum of the block integrals I_N1·I_N2."""
-    rows = [min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)]  # I_N = I_min(N, |rho|)
-    sizes = sorted(set(rows))
-    base = max_degree + max(rows)
+    """F_0 .. F_max_degree as one class sum of the block integrals I_N1·I_N2, z_rho if wide."""
+    rows = (problem.n1, problem.n2)
+    sizes = sorted({n for n in rows if n < max_degree})  # the narrow blocks
+    base = max_degree + max(sizes, default=0)
     terms = [[_frobenius_terms(size, m, base) for m in range(max_degree + 1)] for size in sizes]
     orders = [factorial(m) for m in range(max_degree + 1)]
     totals = [0] * (max_degree + 1)
@@ -315,7 +316,7 @@ def _block_series(problem: CensusProblem, max_degree: int) -> Series:
             size: _block_integral(poly, by_degree[m])
             for size, poly, by_degree in zip(sizes, powers, terms)
         }
-        totals[m] += orders[m] // z * integrals[rows[0]] * integrals[rows[1]]
+        totals[m] += orders[m] // z * integrals.get(rows[0], z) * integrals.get(rows[1], z)
         for length in range(last, max_degree - m + 1):
             grown = [_times_power_sum(poly, length, base, size) for size, poly in zip(sizes, powers)]
             count = repeats + 1 if length == last else 1
@@ -344,15 +345,15 @@ def _partition_counts():
 
 
 def _block_cost(problem: CensusProblem, max_degree: int) -> int:
-    """Predicted work of _block_series: per class of S_m and block of N rows,
-    N capped at the degree, the passes _times_power_sum makes over p_rho's
-    C(m+N-1, N-1) keys, one copy and N - 1 shifts.  The sum runs up in m, one
-    p(m) at a time, and stops once it passes MAX_BLOCK_PASSES: a degree far past
-    the bound costs no more to refuse than one at it."""
-    sizes = {min(n, max(max_degree, 1)) for n in (problem.n1, problem.n2)}
+    """Predicted work of _block_series: per class of S_m, CLASS_STEP_PASSES for
+    the walk's step, and per distinct narrow size N the passes _times_power_sum
+    makes over p_rho's C(m+N-1, N-1) keys, one copy and N - 1 shifts.  The sum
+    runs up in m, one p(m) at a time, and stops once it passes MAX_BLOCK_PASSES:
+    a degree far past the bound costs no more to refuse than one at it."""
+    sizes = {n for n in (problem.n1, problem.n2) if n < max_degree}
     total = 0
     for m, classes in zip(range(max_degree + 1), _partition_counts()):
-        total += classes * sum(n * comb(m + n - 1, n - 1) for n in sizes)
+        total += classes * (CLASS_STEP_PASSES + sum(n * comb(m + n - 1, n - 1) for n in sizes))
         if total > MAX_BLOCK_PASSES:
             break
     return total
@@ -367,13 +368,11 @@ def _joint_bytes(problem: CensusProblem, max_degree: int) -> int:
 
 def _engine(problem: CensusProblem, max_degree: int):
     """The engine the rule picks.  A block engine's walk holds one p_rho per
-    size m <= D and block of N rows, C(D + N, N) keys of about 100 bytes."""
+    size m <= D and narrow size N, C(D + N, N) keys of about 100 bytes."""
     n1, n2 = problem.n1, problem.n2
-    joint = max(n1, n2) <= max_degree and n1 + n2 - 2 <= JOINT_DIGITS  # only the block engine caps
-    if joint and _joint_bytes(problem, max_degree) <= MAX_ENGINE_BYTES:
+    if n1 + n2 - 2 <= JOINT_DIGITS and _joint_bytes(problem, max_degree) <= MAX_ENGINE_BYTES:
         return _joint_series
-    rows = {min(n, max(max_degree, 1)) for n in (n1, n2)}
-    held = 100 * sum(comb(max_degree + n, n) for n in rows)
+    held = 100 * sum(comb(max_degree + n, n) for n in {n1, n2} if n < max_degree)
     if held <= MAX_ENGINE_BYTES and _block_cost(problem, max_degree) <= MAX_BLOCK_PASSES:
         return _block_series
     raise ResourceLimitError(

@@ -6,19 +6,22 @@ exact_quotient, so their agreement is what the counts stand on.  That holds
 in full for the Molien route's joint product.  Its block engine shares the
 census's class-sum reduction, F_n = (1/n!) sum_rho (n!/z_rho) Phi_N1(rho)
 Phi_N2(rho), and computes each Phi_N(rho) = sum_kappa chi_kappa(rho)^2 by
-Frobenius's formula instead of the border-strip walk: it checks the
-characters but not the reduction, which only the joint product checks.
+Frobenius's formula instead of the border-strip walk, or as z_rho on a
+block of at least as many rows as the degree: it checks the characters but
+not the reduction, which only the joint product checks.
 
 Each row of ROUTES names a system N1 x N2 and a degree.  Every row compares
 the census series, the Molien series and the census series of the swapped
-system N2 x N1; a row with a closed form compares that too.  A tier-1 row
-runs in-process in tests/test_cross_routes.py, whichever engine the rule
-would pick: every row runs the block engine, and a row whose blocks both have
-at most 5 rows also runs the joint product, whose cost past that grows out of
-tier-1 reach.  A CI row runs as CLI processes (`molien --check`, with the
-engine the rule picks, then `census` on the swapped system) under a peak-RSS
-bound, and so do the other long checks in LONG, each with its pinned
-expectation.
+system N2 x N1; a row with a closed form compares that too, and so does a
+row whose blocks both have at least as many rows as the degree, against
+the stable-range sum F_n = sum_{rho |- n} z_rho, which uses neither route.
+A tier-1 row runs in-process in tests/test_cross_routes.py, whichever
+engine the rule would pick: every row runs the block engine, and a row
+whose blocks both have at most 5 rows also runs the joint product, whose
+cost past that grows out of tier-1 reach.  A CI row runs as CLI processes
+(`molien --check`, with the engine the rule picks, then `census` on the
+swapped system) under a peak-RSS bound, and so do the other long checks in
+LONG, each with its pinned expectation.
 
 Run every CI row, one child process and one printed line each:
 
@@ -105,6 +108,19 @@ def expand(form: tuple, top: int) -> list:
     return coeffs
 
 
+def stable(top: int) -> list:
+    """F_0 .. F_top of a system whose blocks both have at least top rows:
+    each block integrates |p_rho|^2 to z_rho = prod_i i^m_i·m_i!, so F_n =
+    sum_{rho |- n} z_rho, the coefficients of prod_i sum_m i^m·m!·t^(i·m)."""
+    coeffs = [1] + [0] * top
+    for i in range(1, top + 1):
+        coeffs = [
+            sum(coeffs[n - i * m] * i**m * factorial(m) for m in range(n // i + 1))
+            for n in range(top + 1)
+        ]
+    return coeffs
+
+
 def dimension(shape) -> int:
     """f^shape, the number of standard tableaux: n! over the hook lengths."""
     columns = [sum(1 for part in shape if part > j) for j in range(shape[0])]
@@ -130,15 +146,23 @@ class Route:
     def __str__(self):
         return f"{self.n1}x{self.n2}-to-{self.degree}"
 
+    def stable(self) -> bool:
+        """Whether both blocks have at least as many rows as the degree."""
+        return min(self.n1, self.n2) >= self.degree
+
 
 # Every 1 <= N1 <= N2 <= 5 has a row.  The 2x1 and 3x2 rows run the Molien
 # route with the larger block first, and 2x3 with the smaller; their swaps
 # run the census both ways.
-# 1x2 runs it with an a-block of no digit, so a joint key is its b-key.  The
-# rows past 5x5 have blocks with more rows than the degree, which the block
-# engine runs at min(N, D) rows and whose shapes get at most l(kappa)! terms.
-# Of the CI rows, 2x3 to 40 runs the joint product with packed levels, which
-# no earlier engine reached in CI time.
+# 1x2 runs it with an a-block of no digit, so a joint key is its b-key.  Of
+# the rows past 5x5, a block with at least as many rows as the degree reads
+# z_rho and grows no p_rho; where both blocks do, the row also compares the
+# stable-range sum.  6x6 and 7x7 to 8 (tier-1) and 7x7 and 8x8 to 12 (CI)
+# keep Frobenius's formula, at most l(kappa)! terms per shape, on a block of
+# 6 to 8 rows narrower than the degree.  2x16 to 16 and 12x12 to 12 are past
+# what the block engine answered before a wide block read z_rho.  Of the CI
+# rows, 2x3 to 40 runs the joint product with packed levels, which no
+# earlier engine reached in CI time.
 ROUTES = (
     Route(1, 1, 12, closed_form=one_by(1)),
     Route(1, 2, 12, closed_form=one_by(2)),
@@ -160,6 +184,8 @@ ROUTES = (
     Route(9, 9, 3),
     Route(3, 9, 6),
     Route(12, 12, 6),
+    Route(6, 6, 8),
+    Route(7, 7, 8),
     Route(2, 2, 40, CI, TWO_BY_TWO, rss_mb=30),
     Route(2, 3, 24, CI, rss_mb=40),
     Route(2, 3, 40, CI, rss_mb=60),
@@ -173,6 +199,10 @@ ROUTES = (
     Route(8, 8, 8, CI, rss_mb=40),
     Route(9, 9, 9, CI, rss_mb=40),
     Route(12, 12, 6, CI, rss_mb=40),
+    Route(7, 7, 12, CI, rss_mb=30),
+    Route(8, 8, 12, CI, rss_mb=40),
+    Route(2, 16, 16, CI, rss_mb=30),
+    Route(12, 12, 12, CI, rss_mb=30),
 )
 
 
@@ -284,6 +314,8 @@ def _route_jobs(route: Route) -> list:
         failures = [] if result.get("census_agreement") == "OK" else ["no census agreement"]
         if route.closed_form and result["coefficients"] != expand(route.closed_form, route.degree):
             failures.append("series differs from the closed form")
+        if route.stable() and result["coefficients"] != stable(route.degree):
+            failures.append("series differs from the stable-range sum of z_rho")
         return failures
 
     system = ("--n1", str(route.n1), "--n2", str(route.n2))

@@ -12,6 +12,7 @@ from cross_routes import (
     dimension,
     expand,
     judge,
+    stable,
     summarize,
 )
 
@@ -31,6 +32,13 @@ def test_cross_route_row(row):
         assert generating_series(CensusProblem(row.n2, row.n1), row.degree, row.degree) == census
     if row.closed_form:
         assert list(census) == expand(row.closed_form, row.degree)
+    if row.stable():
+        assert list(census) == stable(row.degree)
+
+
+def test_stable_range_sum_is_the_sum_of_z_rho():
+    # z_rho over the partitions of 4: (4) 4, (3,1) 3, (2,2) 8, (2,1,1) 4, (1^4) 24
+    assert stable(5) == [1, 1, 4, 11, 43, 161]
 
 
 def test_table_covers_every_system_up_to_5x5():
@@ -91,6 +99,15 @@ def test_runner_compares_rows_with_the_rows_before_them():
     series[12] += 1
     assert judge(census, 0, canned(coefficients=series + [0] * 16), 20.0, earlier)
     assert judge(census, 0, canned(coefficients=series + [0] * 16), 20.0, {})
+
+
+def test_a_stable_row_checks_the_sum_of_z_rho():
+    # census and Molien agree, but on a series one off at degree 12
+    check, series = job("molien 12x12-to-12 --check"), stable(12)
+    assert judge(check, 0, canned(coefficients=series, census_agreement="OK"), 20.0, {}) == []
+    series[12] += 1
+    failures = judge(check, 0, canned(coefficients=series, census_agreement="OK"), 20.0, {})
+    assert failures == ["series differs from the stable-range sum of z_rho"]
 
 
 def test_kron_row_checks_the_dimension_identity():

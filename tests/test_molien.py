@@ -646,7 +646,9 @@ def test_block_engine_rejects_an_inexact_class_sum(monkeypatch):
 def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
     # a sum of squares cannot go negative, so only a corrupted integral can
     # make F_n negative.  Only the 2-row block's integrals are negated (a 1-row
-    # p_rho has one term); negating both blocks' would cancel the sign.
+    # p_rho has one term); negating both blocks' would cancel the sign.  At
+    # degree 4 the 2-row block is narrower than the degree, so it runs
+    # Frobenius's formula; at 2 or less it would be wide and read z_rho.
     integral = molien._block_integral
 
     def negated(poly, terms):
@@ -654,7 +656,7 @@ def test_block_engine_rejects_a_negative_coefficient(monkeypatch):
 
     monkeypatch.setattr(molien, "_block_integral", negated)
     with pytest.raises(ConsistencyError, match="came out negative"):
-        molien._block_series(CensusProblem(2, 1), 2)
+        molien._block_series(CensusProblem(2, 1), 4)
 
 
 # Each row's engine is the one that ran faster in BENCH_0.33.0.json
@@ -679,7 +681,8 @@ def test_molien_series_runs_the_engine_the_rule_picks(monkeypatch, n1, n2, max_d
     assert ran == [engine]
 
 
-def test_a_block_wider_than_the_degree_runs_the_block_engine(monkeypatch):
+def test_a_key_past_the_joint_digits_runs_the_block_engine(monkeypatch):
+    # 7x2 has a 7-digit joint key, so the rule never builds its joint layout
     def no_estimate(problem, max_degree):
         raise RuntimeError("the joint estimate ran")
 
@@ -727,8 +730,60 @@ def test_the_block_engine_runs_within_its_pass_bound(n1, n2, max_degree, runs):
 
 
 def test_a_million_row_block_costs_its_degree():
-    # I_N = I_min(N, |rho|), so a 10^6 x 1 system is 3 x 1 through degree 3
+    # a block of at least D rows integrates to z_rho, so a 10^6 x 1 system
+    # grows p_rho for its 1-row block alone
     assert molien_series(CensusProblem(10**6, 1), 3) == Series([1, 1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "n1, n2, max_degree", [(1, 12, 12), (2, 16, 16), (2, 1000, 20), (12, 12, 12)]
+)
+def test_a_block_as_wide_as_the_degree_answers_at_once(n1, n2, max_degree):
+    # each was refused before a wide block read z_rho; best of three runs
+    problem, seconds = CensusProblem(n1, n2), []
+    for _ in range(3):
+        started = time.perf_counter()
+        series = molien_series(problem, max_degree, max_degree)
+        seconds.append(time.perf_counter() - started)
+    assert min(seconds) < 0.1
+    assert series == generating_series(problem, max_degree, max_degree)
+
+
+def test_a_wide_block_grows_no_power_sums(monkeypatch):
+    grown = []
+    times = molien._times_power_sum
+    monkeypatch.setattr(molien, "_times_power_sum", lambda *a: grown.append(a[3]) or times(*a))
+    problem = CensusProblem(2, 9)
+    assert molien._block_series(problem, 9) == generating_series(problem, 9)
+    assert set(grown) == {2}
+
+
+def test_below_its_block_width_the_joint_product_runs_and_equals_the_census():
+    # at D < max(N1, N2) the joint product still covers every weight, and the
+    # rule sends a key of at most JOINT_DIGITS digits to it at any degree
+    for n1, n2 in [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2), (1, 4), (4, 1), (2, 3), (3, 2)]:
+        problem = CensusProblem(n1, n2)
+        for max_degree in range(max(n1, n2)):
+            assert molien._engine(problem, max_degree) is molien._joint_series
+            assert molien_series(problem, max_degree) == generating_series(problem, max_degree)
+
+
+@pytest.mark.parametrize("n1, n2, max_degree", [(200, 200, 120), (1, 1000, 100)])
+def test_the_class_walk_itself_counts_against_the_pass_bound(n1, n2, max_degree):
+    # 200x200/120 has no narrow block and 1x1000/100 one of 1 row, whose
+    # p_rho is one key, yet either walk would visit 10^9-10^10 classes at
+    # about 3 µs each: each class costs CLASS_STEP_PASSES
+    problem, started = CensusProblem(n1, n2), time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=f"{n1}x{n2} to degree {max_degree} fits no"):
+        molien._engine(problem, max_degree)
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("n, max_degree", [(7, 22), (8, 19), (9, 16), (10, 14), (11, 13)])
+def test_equal_blocks_cost_one_size(n, max_degree):
+    # both blocks share one p_rho per size, so n x n costs one n-row block:
+    # a sum per block would refuse 7x7/22 and 8x8/19, which run
+    assert molien._engine(CensusProblem(n, n), max_degree) is molien._block_series
 
 
 def test_partition_counts_follow_the_lists():
