@@ -15,7 +15,7 @@ chi_lam(rho' u 1^k) = sum over nu of k of chi^(lam/nu)(rho') f^nu.
 
 from functools import cache, lru_cache
 
-from .errors import ResourceLimitError, require_int
+from .errors import Frozen, ResourceLimitError, require_int
 from .partitions import Partition, as_partition, common_weight, dimension, partitions_of
 
 # Hard safety cap: tables grow like p(n)^2, and none past it is memoized.
@@ -114,33 +114,29 @@ def character(irrep: Partition, cycle_type: Partition) -> int:
     return _character(irrep, cycle_type)
 
 
-class CharTable:
+class CharTable(Frozen):
     """Dense character table of S_n.
 
     Rows are irreducibles and columns conjugacy classes, both in the canonical
-    order of partitions_of(n).
+    order of partitions_of(n).  Its fields are n, partitions and values; the
+    index of partitions is derived from them.
     """
 
     __slots__ = ("n", "partitions", "values", "_index")
 
     def __init__(self, n: int, partitions: tuple[Partition, ...], values):
-        self.n = n
-        self.partitions = partitions
-        self.values = tuple(tuple(row) for row in values)
-        self._index = {p: i for i, p in enumerate(partitions)}
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "partitions", tuple(partitions))
+        object.__setattr__(self, "values", tuple(tuple(row) for row in values))
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.partitions)})
+
+    def _fields(self) -> tuple:
+        return self.n, self.partitions, self.values
 
     def value(self, irrep: Partition, cycle_type: Partition) -> int:
         irrep, cycle_type = as_partition(irrep), as_partition(cycle_type)
         common_weight(self.partitions[0], irrep, cycle_type)  # (n), or () for n = 0
         return self.values[self._index[irrep]][self._index[cycle_type]]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharTable)
-            and self.n == other.n
-            and self.partitions == other.partitions
-            and self.values == other.values
-        )
 
     def __repr__(self):
         return f"CharTable(n={self.n}, {len(self.partitions)}x{len(self.partitions)})"

@@ -63,9 +63,12 @@ class Frozen:
     Each subclass sets its fields in its own __init__ with object.__setattr__.
     An instance equals only an instance of its own class with equal fields,
     hashes and pickles as the tuple of its fields, and raises AttributeError
-    on assignment and deletion.  These are written by hand, not as dataclasses,
-    because importing dataclasses (and with it inspect and ast) would add to
-    the start-up of every process.
+    on assignment and deletion.  A subclass that keeps a slot derived from
+    its fields, such as an index, overrides _fields to return the fields
+    alone, in its __init__'s order: unpickling and deepcopy then call
+    __init__ on them, which rebuilds the derived slot.  These are written by
+    hand, not as dataclasses, because importing dataclasses (and with it
+    inspect and ast) would add to the start-up of every process.
     """
 
     __slots__ = ()

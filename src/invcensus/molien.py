@@ -367,10 +367,17 @@ def _joint_bytes(problem: CensusProblem, max_degree: int) -> int:
 
 
 def _engine(problem: CensusProblem, max_degree: int):
-    """The engine the rule picks.  A block engine's walk holds one p_rho per
-    size m <= D and narrow size N, C(D + N, N) keys of about 100 bytes."""
+    """The engine the rule picks.  Level k of the joint product spans at least
+    2·min(k, D - k) + 1 keys of at least a byte, D^2/2 bytes over k <= D, so
+    its estimate is at least D^2 and past that bound _layout's O(D) lists are
+    never built.  A block engine's walk holds one p_rho per size m <= D and
+    narrow size N, C(D + N, N) keys of about 100 bytes."""
     n1, n2 = problem.n1, problem.n2
-    if n1 + n2 - 2 <= JOINT_DIGITS and _joint_bytes(problem, max_degree) <= MAX_ENGINE_BYTES:
+    if (
+        n1 + n2 - 2 <= JOINT_DIGITS
+        and max_degree**2 <= MAX_ENGINE_BYTES
+        and _joint_bytes(problem, max_degree) <= MAX_ENGINE_BYTES
+    ):
         return _joint_series
     held = 100 * sum(comb(max_degree + n, n) for n in {n1, n2} if n < max_degree)
     if held <= MAX_ENGINE_BYTES and _block_cost(problem, max_degree) <= MAX_BLOCK_PASSES:

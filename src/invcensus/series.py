@@ -1,9 +1,9 @@
 """Truncated power series with exact integer coefficients."""
 
-from .errors import SeriesFormatError
+from .errors import Frozen, SeriesFormatError
 
 
-class Series:
+class Series(Frozen):
     """Coefficients c_0 .. c_D of a series truncated at degree D."""
 
     __slots__ = ("coeffs",)
@@ -15,7 +15,7 @@ class Series:
         for c in coeffs:
             if type(c) is not int:  # rejects bool and float alike
                 raise ValueError(f"coefficients must be exact integers, got {c!r}")
-        self.coeffs = coeffs
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def degree(self) -> int:
@@ -29,12 +29,6 @@ class Series:
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, Series) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Series({list(self.coeffs)})"

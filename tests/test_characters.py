@@ -14,6 +14,7 @@ from invcensus.characters import (
     character,
 )
 from invcensus.errors import ResourceLimitError, WeightMismatchError
+from invcensus.kronecker import inner_product_expansion
 from invcensus.partitions import conjugate, dimension, partitions_of, z_order
 
 
@@ -163,6 +164,16 @@ def test_orthogonality(n):
 
 def test_table_memoized_in_memory():
     assert char_table(5) is char_table(5)
+
+
+def test_memoized_table_cannot_be_rewritten():
+    # the table is the memo every later table lookup reads, so zero rows
+    # assigned here would empty the Kronecker expansions built from it
+    table = char_table(4)
+    with pytest.raises(AttributeError):
+        table.values = ((0,) * 5,) * 5
+    assert char_table(4) is table and table.value((4,), (1, 1, 1, 1)) == 1
+    assert (4,) in inner_product_expansion((3, 1), (3, 1)).terms
 
 
 def test_resource_limit():

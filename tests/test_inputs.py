@@ -8,7 +8,7 @@ import re
 import pytest
 
 from invcensus.census import CensusProblem, generating_series, invariant_count
-from invcensus.characters import char_table
+from invcensus.characters import CharTable, char_table
 from invcensus.factorizer import (
     FitReport,
     RationalForm,
@@ -80,7 +80,8 @@ def test_integer_arguments_share_one_rule(name, call, least, bad):
 
 
 # (class, fields as given, another instance's fields, repr, a bad construction
-# and its message); RationalForm sorts its degrees into tuples
+# and its message); RationalForm sorts its degrees into tuples, Series its
+# coefficients and CharTable its rows
 VALUE_TYPES = [
     pytest.param(
         CensusProblem,
@@ -123,6 +124,24 @@ VALUE_TYPES = [
         None,
         None,
         id="FitReport",
+    ),
+    pytest.param(
+        Series,
+        {"coeffs": [1, 2]},
+        ([1, 3],),
+        "Series([1, 2])",
+        lambda: Series([1, True]),
+        "coefficients must be exact integers, got True",
+        id="Series",
+    ),
+    pytest.param(
+        CharTable,
+        {"n": 2, "partitions": ((2,), (1, 1)), "values": [[1, 1], [-1, 1]]},
+        (2, ((2,), (1, 1)), [[1, 1], [1, -1]]),
+        "CharTable(n=2, 2x2)",
+        None,
+        None,
+        id="CharTable",
     ),
 ]
 

@@ -795,13 +795,16 @@ def test_partition_counts_follow_the_lists():
 def test_a_refused_block_engine_costs_no_more_than_its_bound():
     # 1x1 past degree 11,583 is past the joint estimate, and the block engine's
     # passes sum p(m) over m <= D: they pass MAX_BLOCK_PASSES at m = 116, and
-    # the sum stops there, not at D = 10^5 after O(D^2) big-integer additions
-    problem = CensusProblem(1, 1)
-    started = time.perf_counter()
-    assert molien._block_cost(problem, 10**5) > molien.MAX_BLOCK_PASSES
-    with pytest.raises(ResourceLimitError, match="1x1 to degree 100000 fits no Molien engine"):
-        molien._engine(problem, 10**5)
-    assert time.perf_counter() - started < 1
+    # the sum stops there, not at D = 10^5 after O(D^2) big-integer additions.
+    # Past D^2 > MAX_ENGINE_BYTES the joint estimate's O(D) levels are not
+    # laid out at all, so 10^7 is refused as quickly
+    for n1, n2, max_degree in (1, 1, 10**5), (1, 1, 10**7), (2, 3, 10**7):
+        problem = CensusProblem(n1, n2)
+        started = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"{n1}x{n2} to degree {max_degree} fits no"):
+            molien._engine(problem, max_degree)
+        assert time.perf_counter() - started < 1
+        assert molien._block_cost(problem, max_degree) > molien.MAX_BLOCK_PASSES
 
 
 def test_molien_coefficient_two_qubit_values():
